@@ -87,15 +87,18 @@ struct Stack {
   }
 };
 
-/// The pre-redesign shape: one request/reply round trip per file (open),
-/// then one per file again (release).
+/// The pre-redesign shape: one request/reply round trip per file (a
+/// batch of one, waited for its ack), then one per file again (release).
 void BM_DvlibPerFileLoop(benchmark::State& state) {
   Stack stack("loop" + std::to_string(state.range(0)));
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     for (std::size_t i = 0; i < n; ++i) {
-      auto info = stack.session->open(stack.files[i]);
-      if (!info || !info->available) state.SkipWithError("open missed");
+      auto handle = stack.session->acquireAsync(
+          std::span<const std::string>(&stack.files[i], 1));
+      if (!handle.waitAck(nullptr).isOk() || !handle.probe(0).available) {
+        state.SkipWithError("open missed");
+      }
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (!stack.session->release(stack.files[i]).isOk()) {

@@ -121,11 +121,17 @@ struct BenchClient {
       files.push_back(bd.cfg.codec.outputFile(s));
     }
     transport->setViewHandler([this](const msg::MessageView& m) {
-      if (m.type() == msg::MsgType::kHelloAck) {
-        helloOk = m.code() == 0;
-        helloDone.store(true, std::memory_order_release);
-      } else {
-        acks.fetch_add(1, std::memory_order_release);
+      {
+        // Bump under mu: flood() checks its predicate under mu, so an
+        // unlocked bump + notify landing between that check and its
+        // sleep would be a lost wakeup (the final drain waits forever).
+        std::lock_guard lock(mu);
+        if (m.type() == msg::MsgType::kHelloAck) {
+          helloOk = m.code() == 0;
+          helloDone.store(true, std::memory_order_release);
+        } else {
+          acks.fetch_add(1, std::memory_order_release);
+        }
       }
       cv.notify_all();
     });

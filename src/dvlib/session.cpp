@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 
 namespace simfs::dvlib {
@@ -21,6 +22,9 @@ struct AcquireState {
   std::vector<Status> fileStatus;      ///< per-file outcome (ack / retire)
   std::vector<bool> availableAtAck;    ///< on disk at batch time
   std::vector<VDuration> fileWait;     ///< per-file DV estimate
+  /// Registration already unwound (releaseIndex / cancel): the ack and
+  /// later cancels leave the file alone.
+  std::vector<bool> released;
   /// Awaiting kFileReady; transparent comparator so retirements probe
   /// with the receive view's string_view.
   std::set<std::string, std::less<>> pending;
@@ -239,7 +243,36 @@ void AcquireHandle::then(std::function<void(const Status&)> fn) {
 
 Status AcquireHandle::cancel() {
   if (!valid()) return errFailedPrecondition("dvlib: empty handle");
-  return session_->handleCancel(state_);
+  return session_->handleCancel(state_, Session::kAllFiles);
+}
+
+Status AcquireHandle::releaseIndex(std::size_t index) {
+  if (!valid()) return errFailedPrecondition("dvlib: empty handle");
+  if (index >= state_->files.size()) {
+    return errInvalidArgument("dvlib: release index out of range");
+  }
+  return session_->handleCancel(state_, index);
+}
+
+Status AcquireHandle::waitIndex(std::size_t index) {
+  if (!valid()) return errFailedPrecondition("dvlib: empty handle");
+  if (index >= state_->files.size()) {
+    return errInvalidArgument("dvlib: wait index out of range");
+  }
+  Session::Fired fired;
+  std::unique_lock lock(session_->mutex_);
+  auto& st = *state_;
+  if (session_->awaitAckLocked(lock, state_, fired)) {
+    session_->cv_.wait(lock, [&] {
+      return st.completed || st.pending.count(st.files[index]) == 0;
+    });
+  }
+  // Resolution (ack, kFileReady, failure or cancel) always writes the
+  // file's slot, so the slot is the answer.
+  const Status result = st.fileStatus[index];
+  lock.unlock();
+  for (auto& [fn, s] : fired) fn(s);
+  return result;
 }
 
 bool AcquireHandle::complete() const {
@@ -303,10 +336,23 @@ Session::~Session() {
   // callbacks capture (via `this`) are still alive while they run.
   // Pooled states may pin replica transports through servedBy — drop
   // those references here so every endpoint dies inside this body, not
-  // during member destruction.
-  for (const auto& s : statePool_) s->servedBy.reset();
-  retired_.clear();
-  transport_.reset();
+  // during member destruction. The fields are emptied under the lock (a
+  // close callback still in flight reads them) and the endpoints die
+  // outside it (their destructors wait for that callback, which takes
+  // the lock).
+  std::vector<std::shared_ptr<msg::Transport>> endpoints;
+  {
+    std::lock_guard lock(mutex_);
+    for (const auto& s : statePool_) {
+      endpoints.push_back(std::move(s->servedBy));
+    }
+    endpoints.insert(endpoints.end(),
+                     std::make_move_iterator(retired_.begin()),
+                     std::make_move_iterator(retired_.end()));
+    retired_.clear();
+    endpoints.push_back(std::move(transport_));
+  }
+  endpoints.clear();
 }
 
 void Session::attach(const std::shared_ptr<msg::Transport>& t) {
@@ -557,13 +603,14 @@ void Session::failStateLocked(
     const std::shared_ptr<detail::AcquireState>& state, const Status& st,
     Fired& fired) {
   if (state->completed) return;
-  state->ack = true;
   if (state->worst.isOk()) state->worst = st;
   for (std::size_t i = 0; i < state->files.size(); ++i) {
-    if (!state->availableAtAck[i] && state->fileStatus[i].isOk()) {
+    if (state->released[i]) continue;
+    if (!state->ack || state->pending.count(state->files[i]) != 0) {
       state->fileStatus[i] = st;
     }
   }
+  state->ack = true;
   state->pending.clear();
   completeLocked(state, fired);
 }
@@ -591,6 +638,7 @@ void Session::applyBatchAckLocked(detail::AcquireState& state,
     ++it;
     const VDuration wait = *it;
     ++it;
+    if (state.released[i]) continue;  // unwound before its ack landed
     if (packed < 0) {
       state.fileStatus[i] = errInternal("dvlib: bad per-file outcome");
       state.worst = state.fileStatus[i];
@@ -611,22 +659,9 @@ void Session::applyBatchAckLocked(detail::AcquireState& state,
       continue;
     }
     state.fileStatus[i] = Status::ok();
-    const std::string& f = state.files[i];
-    auto& fw = fileWaits_[f];
-    if (avail) {
-      fw.ready = true;
-      fw.status = Status::ok();
-    } else {
+    if (!avail) {
       state.estimatedWait = std::max(state.estimatedWait, wait);
-      if (fw.ready) {
-        // A stale resolution (earlier completion since evicted, failed
-        // job, or waits failed by a rebind) is superseded by this fresh
-        // not-yet-available outcome: the server is authoritative and has
-        // just re-registered us as a waiter.
-        fw.ready = false;
-        fw.status = Status::ok();
-      }
-      if (!state.cancelled) state.pending.insert(f);
+      state.pending.insert(state.files[i]);
     }
   }
 }
@@ -649,25 +684,21 @@ void Session::onMessage(const msg::MessageView& m) {
     std::lock_guard lock(mutex_);
     if (m.type() == msg::MsgType::kFileReady) {
       const std::string_view file = m.file0();
-      auto fit = fileWaits_.find(file);
-      if (fit == fileWaits_.end()) {
-        fit = fileWaits_.emplace(std::string(file), FileWait{}).first;
-      }
-      FileWait& fw = fit->second;
-      fw.ready = true;
-      fw.status = statusFromView(m);
-      // Retire the file from every live acquire awaiting it.
+      const Status ready = statusFromView(m);
+      // Retire the file from every live acquire awaiting it; a file no
+      // acquire awaits (cancelled, released) leaves no trace.
       std::vector<std::shared_ptr<detail::AcquireState>> done;
       for (const auto& state : active_) {
         const auto pit = state->pending.find(file);
         if (pit == state->pending.end()) continue;
         state->pending.erase(pit);
         for (std::size_t i = 0; i < state->files.size(); ++i) {
-          if (state->files[i] == file && !state->availableAtAck[i]) {
-            state->fileStatus[i] = fw.status;
+          if (state->files[i] == file && !state->availableAtAck[i] &&
+              !state->released[i]) {
+            state->fileStatus[i] = ready;
           }
         }
-        if (!fw.status.isOk()) state->worst = fw.status;
+        if (!ready.isOk()) state->worst = ready;
         if (state->ack && state->pending.empty()) done.push_back(state);
       }
       for (const auto& state : done) completeLocked(state, fired);
@@ -918,9 +949,10 @@ void Session::recoveryLoop() {
         Fired fired;
         {
           std::lock_guard lk(mutex_);
-          failAllLocked(errUnreachable("dvlib: retry budget exhausted: " +
-                                       std::string(st.message())),
-                        fired);
+          failLinkLocked(nullptr,
+                         errUnreachable("dvlib: retry budget exhausted: " +
+                                        std::string(st.message())),
+                         /*resendable=*/false, fired);
         }
         for (auto& [fn, s] : fired) fn(s);
         lock.lock();
@@ -990,57 +1022,41 @@ void Session::resendOp(std::uint64_t opId) {
   for (auto& [fn, s] : fired) fn(s);
 }
 
-void Session::failAllLocked(const Status& down, Fired& fired) {
-  for (auto& op : asyncOps_) failStateLocked(op.state, down, fired);
-  asyncOps_.clear();
-  for (auto& [file, fw] : fileWaits_) {
-    if (!fw.ready) {
-      fw.ready = true;
-      fw.status = down;
+void Session::failLinkLocked(const msg::Transport* lost, const Status& down,
+                             bool resendable, Fired& fired) {
+  const auto on = [lost](const msg::Transport* t) {
+    return lost == nullptr || t == lost;
+  };
+  if (!resendable) {
+    for (auto it = asyncOps_.begin(); it != asyncOps_.end();) {
+      if (!on(it->transport)) {
+        ++it;
+        continue;
+      }
+      auto state = std::move(it->state);
+      it = asyncOps_.erase(it);
+      failStateLocked(state, down, fired);
     }
   }
-  const auto actives = active_;  // completeLocked mutates active_
-  for (const auto& s : actives) failStateLocked(s, down, fired);
-  for (const auto& [id, tp] : inflight_) {
-    if (replies_.count(id) == 0) {
-      msg::Message failed;
-      failed.type = msg::MsgType::kError;
-      failed.requestId = id;
-      failed.code = static_cast<std::int32_t>(down.code());
-      failed.text = down.message();
-      replies_.emplace(id, std::move(failed));
-    }
-  }
-  cv_.notify_all();
-}
-
-void Session::failNonResendableLocked(const Status& down, Fired& fired) {
-  // Per-file waiter registrations died with the connection; threads in
-  // waitFile() wake with a retryable error and reopen after the rebind.
-  for (auto& [file, fw] : fileWaits_) {
-    if (!fw.ready) {
-      fw.ready = true;
-      fw.status = down;
-    }
-  }
-  // Acked acquires still owed files cannot be resent (their batch already
-  // registered and the registrations are gone) — complete them now.
+  // Acked acquires still owed files cannot be resent: their batch already
+  // registered, and the waiter registrations died with the link.
   std::vector<std::shared_ptr<detail::AcquireState>> owed;
   for (const auto& s : active_) {
-    if (s->ack && !s->pending.empty()) owed.push_back(s);
+    if (s->ack && !s->pending.empty() && on(s->servedBy.get())) {
+      owed.push_back(s);
+    }
   }
   for (const auto& s : owed) failStateLocked(s, down, fired);
   // Sync calls are request/reply: hand them a synthetic error instead of
   // letting them sit out the full call timeout.
   for (const auto& [id, tp] : inflight_) {
-    if (replies_.count(id) == 0) {
-      msg::Message failed;
-      failed.type = msg::MsgType::kError;
-      failed.requestId = id;
-      failed.code = static_cast<std::int32_t>(down.code());
-      failed.text = down.message();
-      replies_.emplace(id, std::move(failed));
-    }
+    if (!on(tp) || replies_.count(id) != 0) continue;
+    msg::Message failed;
+    failed.type = msg::MsgType::kError;
+    failed.requestId = id;
+    failed.code = static_cast<std::int32_t>(down.code());
+    failed.text = down.message();
+    replies_.emplace(id, std::move(failed));
   }
   cv_.notify_all();
 }
@@ -1058,13 +1074,14 @@ void Session::onTransportClosed(const msg::Transport* t) {
         // alive — the rebind resends them under their original
         // requestIds, and the daemon's dedup window makes that safe even
         // if the original request was processed and only its ack lost.
-        failNonResendableLocked(down, fired);
+        failLinkLocked(t, down, /*resendable=*/true, fired);
         queueReconnectLocked();
       } else {
         // No router to fail over with: nothing outstanding can resolve
         // anymore. Terminal, not transient — retrying a dead endpoint
         // the session cannot re-resolve would hang forever.
-        failAllLocked(errUnreachable("dvlib: connection to DV lost"), fired);
+        failLinkLocked(nullptr, errUnreachable("dvlib: connection to DV lost"),
+                       /*resendable=*/false, fired);
       }
     } else if (const int ri = replicaIndexOfLocked(t); ri >= 0) {
       // A replica link died: nothing is lost — ops tagged to it retarget
@@ -1084,40 +1101,11 @@ void Session::onTransportClosed(const msg::Transport* t) {
         queueRetryLocked(op.id, 0);
       }
       // A sync call on the link (the replica hello, at most) fails soft.
-      for (const auto& [id, tp] : inflight_) {
-        if (tp == t && replies_.count(id) == 0) {
-          msg::Message failed;
-          failed.type = msg::MsgType::kError;
-          failed.requestId = id;
-          failed.code = static_cast<std::int32_t>(down.code());
-          failed.text = down.message();
-          replies_.emplace(id, std::move(failed));
-        }
-      }
-      cv_.notify_all();
+      failLinkLocked(t, down, /*resendable=*/true, fired);
     } else {
       // A retired link died late: only ops still tagged to it are lost
       // (rebind retargets surviving ops before closing the old link).
-      for (auto it = asyncOps_.begin(); it != asyncOps_.end();) {
-        if (it->transport != t) {
-          ++it;
-          continue;
-        }
-        auto state = it->state;
-        it = asyncOps_.erase(it);
-        failStateLocked(state, down, fired);
-      }
-      for (const auto& [id, tp] : inflight_) {
-        if (tp == t && replies_.count(id) == 0) {
-          msg::Message failed;
-          failed.type = msg::MsgType::kError;
-          failed.requestId = id;
-          failed.code = static_cast<std::int32_t>(down.code());
-          failed.text = down.message();
-          replies_.emplace(id, std::move(failed));
-        }
-      }
-      cv_.notify_all();
+      failLinkLocked(t, down, /*resendable=*/false, fired);
     }
   }
   for (auto& [fn, s] : fired) fn(s);
@@ -1175,8 +1163,6 @@ Status Session::rebind(std::string targetNode) {
       transport_ = t;
       if (old) {
         retired_.push_back(old);
-        const Status moved =
-            errUnavailable("dvlib: session moved nodes; reopen the file");
         // Un-acked vectored ops SURVIVE the move: they are resent on the
         // new link below under the same requestId, so the eventual ack
         // still matches — this is the redirect-follow for batched opens.
@@ -1199,40 +1185,15 @@ Status Session::rebind(std::string targetNode) {
           resend.push_back(std::move(req));
           ++it;
         }
-        // The old node held this session's registered waiters; they die
-        // with it. Fail outstanding per-file waits NOW so threads
-        // blocked in waitFile() wake with a retryable error and reopen
-        // on the new owner, instead of waiting forever for a kFileReady
-        // the new node will never send. (Resent ops re-arm their files
-        // when their fresh ack lands.)
-        for (auto& [file, fw] : fileWaits_) {
-          if (!fw.ready) {
-            fw.ready = true;
-            fw.status = moved;
-          }
-        }
-        // Acked acquires still owed files complete with the same
-        // retryable error — their waiter registrations died on the old
-        // node.
-        std::vector<std::shared_ptr<detail::AcquireState>> owed;
-        for (const auto& s : active_) {
-          if (s->ack && !s->pending.empty()) owed.push_back(s);
-        }
-        for (const auto& s : owed) failStateLocked(s, moved, fired);
-        // Sync calls still awaiting a reply on the link being closed
-        // would otherwise sit out the full call timeout: hand them a
-        // synthetic error reply instead.
-        for (const auto& [id, tp] : inflight_) {
-          if (tp == old.get() && replies_.count(id) == 0) {
-            msg::Message failed;
-            failed.type = msg::MsgType::kError;
-            failed.requestId = id;
-            failed.code = static_cast<std::int32_t>(moved.code());
-            failed.text = moved.message();
-            replies_.emplace(id, std::move(failed));
-          }
-        }
-        cv_.notify_all();
+        // The old node held this session's waiter registrations; they
+        // die with it. Acquires still owed files complete NOW with a
+        // retryable error instead of waiting forever for a kFileReady the
+        // new node will never send, and sync calls on the old link get
+        // their synthetic error reply.
+        failLinkLocked(
+            old.get(),
+            errUnavailable("dvlib: session moved nodes; reopen the file"),
+            /*resendable=*/true, fired);
       }
     }
     for (auto& [fn, s] : fired) fn(s);
@@ -1301,6 +1262,7 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
     state->fileStatus.assign(n, Status::ok());
     state->availableAtAck.assign(n, false);
     state->fileWait.assign(n, static_cast<VDuration>(0));
+    state->released.assign(n, false);
     if (n == 0) {  // trivially complete; nothing to put on the wire
       state->ack = true;
       state->completed = true;
@@ -1426,50 +1388,72 @@ Status Session::handleWait(
 }
 
 Status Session::handleCancel(
-    const std::shared_ptr<detail::AcquireState>& state) {
+    const std::shared_ptr<detail::AcquireState>& state, std::size_t only) {
+  // Views over the state's own file storage — stable while the caller's
+  // handle pins the state — so the cancel is as allocation-free as the
+  // acquire it unwinds.
+  thread_local std::vector<std::string_view> unwind;
+  unwind.clear();
   Fired fired;
-  bool hadFiles = false;
   std::shared_ptr<msg::Transport> t;
   {
     std::lock_guard lock(mutex_);
-    if (state->cancelled) return Status::ok();  // idempotent
-    state->cancelled = true;
-    if (!state->completed) {
-      state->worst = errCancelled("dvlib: acquire cancelled");
-      state->pending.clear();
-      completeLocked(state, fired);
-    }
-    hadFiles = !state->files.empty();
+    auto& st = *state;
+    if (st.cancelled) return Status::ok();  // idempotent
+    // Built only when a file or the handle still resolves: a warm
+    // acquire/cancel cycle must not allocate the message.
+    const auto cancelled = [] {
+      return errCancelled("dvlib: acquire cancelled");
+    };
     // The release must land on the endpoint the batch registered on —
     // a replica link when the spread sent it there.
-    t = state->servedBy ? state->servedBy : transport_;
-    // The cancel frees the batch's registrations wholesale: drop the
-    // per-file replica-ref entries it recorded so a later release of the
-    // same name does not chase references the cancel already freed.
-    for (const auto& f : state->files) {
-      const auto it = replicaRefs_.find(f);
+    t = st.servedBy ? st.servedBy : transport_;
+    for (std::size_t i = 0; i < st.files.size(); ++i) {
+      if ((only != kAllFiles && i != only) || st.released[i]) continue;
+      st.released[i] = true;
+      unwind.push_back(st.files[i]);
+      // Still unresolved: the file resolves as cancelled.
+      if (!st.ack || st.pending.erase(st.files[i]) != 0) {
+        st.fileStatus[i] = cancelled();
+      }
+      // The cancel frees the registration: drop the replica-ref entry it
+      // recorded so a later release of the same name does not chase a
+      // reference already freed.
+      const auto it = replicaRefs_.find(st.files[i]);
       if (it == replicaRefs_.end()) continue;
       const auto pos = std::find(it->second.begin(), it->second.end(), t);
       if (pos != it->second.end()) it->second.erase(pos);
       if (it->second.empty()) replicaRefs_.erase(it);
     }
+    if (only == kAllFiles) {
+      st.cancelled = true;
+      if (!st.completed) {
+        st.worst = cancelled();
+        st.pending.clear();
+        completeLocked(state, fired);
+      }
+    } else if (st.ack && st.pending.empty()) {
+      completeLocked(state, fired);
+    }
+    cv_.notify_all();  // a waitIndex on the released file wakes
   }
-  for (auto& [fn, s] : fired) fn(s);
-  if (!hadFiles) return Status::ok();
-  if (!t) return errUnavailable("dvlib: session not connected");
-  // One wire op frees everything the batch registered: waiter entries
-  // for steps still pending, references for steps already delivered.
-  // Fire-and-forget like closeNotify (requestId 0 tells the daemon no
-  // ack is wanted): an intercepted close must not pay a round trip, and
+  // One wire op frees everything unwound here: waiter entries for steps
+  // still pending, references for steps already delivered. Fire-and-
+  // forget like closeNotify (requestId 0 tells the daemon no ack is
+  // wanted): an intercepted close must not pay a round trip, and
   // per-connection FIFO guarantees the release lands after its batch.
-  // The file list is served as views over the state's own storage —
-  // stable while the caller's handle pins the state — so the cancel is
-  // as allocation-free as the acquire it unwinds.
   msg::MessageRef m;
   m.type = msg::MsgType::kCancelReq;
   m.context = context_;
-  m.files = scratchViewsOf(state->files);
-  return t->send(m);
+  m.files = unwind;
+  Status sent = Status::ok();
+  if (!unwind.empty()) {
+    sent = t ? t->send(m) : errUnavailable("dvlib: session not connected");
+  }
+  // Continuations fire after the send: one may cancel another handle on
+  // this thread, reusing `unwind`.
+  for (auto& [fn, s] : fired) fn(s);
+  return sent;
 }
 
 Status Session::acquire(const std::vector<std::string>& files,
@@ -1486,32 +1470,6 @@ Status Session::acquire(const std::vector<std::string>& files,
   return st;
 }
 
-Result<Session::OpenInfo> Session::open(const std::string& file) {
-  {
-    // An earlier miss may already have completed.
-    std::lock_guard lock(mutex_);
-    const auto it = fileWaits_.find(file);
-    if (it != fileWaits_.end() && it->second.ready &&
-        it->second.status.isOk()) {
-      return OpenInfo{true, 0};
-    }
-  }
-  auto handle = acquireAsync(std::span<const std::string>(&file, 1));
-  (void)handle.waitAck(nullptr);  // one round trip
-  const auto p = handle.probe(0);
-  if (!p.status.isOk()) return p.status;
-  return OpenInfo{p.available, p.estimatedWait};
-}
-
-Status Session::waitFile(const std::string& file) {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] {
-    const auto it = fileWaits_.find(file);
-    return it != fileWaits_.end() && it->second.ready;
-  });
-  return fileWaits_.find(file)->second.status;
-}
-
 void Session::closeNotify(const std::string& file) {
   const std::string_view one[1] = {file};
   msg::MessageRef m;
@@ -1519,8 +1477,6 @@ void Session::closeNotify(const std::string& file) {
   m.context = context_;  // self-describing for daemon-side diagnostics
   m.files = one;
   if (auto t = transportRef()) (void)t->send(m);
-  std::lock_guard lock(mutex_);
-  fileWaits_.erase(file);  // a later reopen re-queries the DV
 }
 
 Status Session::release(const std::string& file) {
@@ -1581,10 +1537,6 @@ Status Session::release(std::span<const std::string> files) {
     if (!reply) return reply.status();
     if (const Status st = statusFrom(*reply); !st.isOk()) worst = st;
   }
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& f : files) fileWaits_.erase(f);
-  }
   return worst;
 }
 
@@ -1613,7 +1565,8 @@ void Session::finalize() {
     joinRecovery = recovery_.joinable();
     // Wake every blocked waiter: nothing outstanding can resolve once
     // the session is gone.
-    failAllLocked(errUnavailable("dvlib: session finalized"), fired);
+    failLinkLocked(nullptr, errUnavailable("dvlib: session finalized"),
+                   /*resendable=*/false, fired);
     for (auto& link : replicaLinks_) {
       if (link.transport) retired_.push_back(std::move(link.transport));
     }

@@ -32,12 +32,21 @@
 //                                never pin cache slots
 //   probe(i)                   — per-file ack outcome (availability,
 //                                status, estimated wait)
+//   waitIndex(i)               — the transparent-mode read's blocking
+//                                point: block until file i alone resolved
+//   releaseIndex(i)            — unwind file i's registration now (one
+//                                kCancelReq); a later cancel() skips it
+//
+// The handle's state is the ONLY record of a file's outcome: the session
+// keeps no per-name table, so two acquires of the same file never share
+// (or clobber) a completion.
 //
 // Everything else is an adapter over this core: Session::acquire (=
 // acquireAsync + wait, unwinding partial registrations on failure),
-// SimFSClient (the paper's SIMFS_* call shapes), the C API, and the
+// SimFSClient (the paper's SIMFS_* call shapes), the C API, the
 // transparent I/O facades (whose opens pipeline through per-open
-// handles).
+// handles) and the POSIX VFS (whose opens wait on one index of a
+// listing's batch).
 //
 // Federation: sessions created from a NodeRouter keep the PR 3 redirect
 // semantics for batched ops. A kRedirect answering an in-flight
@@ -153,6 +162,18 @@ class AcquireHandle {
   /// Per-file ack outcome; index follows files(). Valid after waitAck().
   [[nodiscard]] FileProbe probe(std::size_t index) const;
 
+  /// Blocks until file `index` alone resolved — available, failed, or
+  /// the handle failed/cancelled — and returns that file's status. The
+  /// ack phase is bounded like waitAck(); the re-simulation wait is not.
+  [[nodiscard]] Status waitIndex(std::size_t index);
+
+  /// Unwinds file `index`'s registration at the DV now, with one
+  /// fire-and-forget kCancelReq (waiter entry if still pending, reference
+  /// if delivered). The file resolves kCancelled if it had not yet; a
+  /// later cancel() leaves it out, so its registration is released once.
+  /// Idempotent.
+  [[nodiscard]] Status releaseIndex(std::size_t index);
+
  private:
   friend class Session;
   AcquireHandle(std::shared_ptr<Session> session,
@@ -165,12 +186,6 @@ class AcquireHandle {
 /// One context-bound client session against a DV daemon or federation.
 class Session : public std::enable_shared_from_this<Session> {
  public:
-  /// Result of a (batch-of-one) non-blocking open.
-  struct OpenInfo {
-    bool available = false;
-    VDuration estimatedWait = 0;
-  };
-
   /// Connects over `transport` and opens a session on `context`
   /// (SIMFS_Init). Blocks for the handshake. Single-transport: a
   /// redirect answer is surfaced as an error.
@@ -210,15 +225,9 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] Status acquire(const std::vector<std::string>& files,
                                SimfsStatus* status = nullptr);
 
-  /// Intercepted open (batch of one): one round trip for the ack; on a
-  /// miss the DV starts the re-simulation and waitFile() later unblocks.
-  [[nodiscard]] Result<OpenInfo> open(const std::string& file);
-
-  /// Intercepted read's blocking point: waits until `file` (previously
-  /// opened or acquired) is available on disk.
-  [[nodiscard]] Status waitFile(const std::string& file);
-
-  /// Intercepted close: fire-and-forget dereference.
+  /// Intercepted close: fire-and-forget dereference of one reference a
+  /// completed acquire of `file` registered. (The intercepted open and
+  /// read are an acquireAsync of one file and its handle's waitIndex.)
   void closeNotify(const std::string& file);
 
   /// SIMFS_Release.
@@ -275,11 +284,6 @@ class Session : public std::enable_shared_from_this<Session> {
 
   explicit Session(std::string context);
 
-  struct FileWait {
-    bool ready = false;
-    Status status;
-  };
-
   /// An in-flight async request awaiting its ack, tagged with the
   /// transport it went out on. A redirect-triggered rebind rebuilds the
   /// wire message from the state's file list and resends it under the
@@ -305,7 +309,8 @@ class Session : public std::enable_shared_from_this<Session> {
   void onMessage(const msg::MessageView& m);
   /// Close callback: fails whatever can no longer resolve. A dead
   /// retired link only takes the ops still tagged to it; the live link
-  /// going down fails everything outstanding.
+  /// going down fails everything outstanding (router sessions keep their
+  /// un-acked ops for the post-reconnect resend).
   void onTransportClosed(const msg::Transport* t);
   [[nodiscard]] std::shared_ptr<msg::Transport> transportRef();
 
@@ -342,18 +347,23 @@ class Session : public std::enable_shared_from_this<Session> {
   void completeLocked(const std::shared_ptr<detail::AcquireState>& state,
                       Fired& fired);
 
-  /// Fails a state with `st` and completes it: still-open per-file slots
-  /// take the error (delivered files keep their outcome), pending files
-  /// are dropped. No-op on already-terminal states. Lock held.
+  /// Fails a state with `st` and completes it: unresolved files take the
+  /// error (resolved files keep their outcome), pending files are
+  /// dropped. No-op on already-terminal states. Lock held.
   void failStateLocked(const std::shared_ptr<detail::AcquireState>& state,
                        const Status& st, Fired& fired);
 
   /// Fails every un-acked async op (rebind failure, shutdown).
   void failAsyncOps(const Status& st);
 
-  /// Fails everything outstanding — async ops, per-file waits, live
-  /// acquire states, in-flight sync calls — with `down`. Lock held.
-  void failAllLocked(const Status& down, Fired& fired);
+  /// THE failure routine for a lost link (`lost`; nullptr = every link):
+  /// fails what registered on it — acked acquires still owed files, and
+  /// in-flight sync calls (each handed a synthetic kError reply instead
+  /// of sitting out the call timeout) — with `down`. Un-acked async ops
+  /// on it fail too, unless `resendable`: then they stay alive for the
+  /// caller to resend. Lock held.
+  void failLinkLocked(const msg::Transport* lost, const Status& down,
+                      bool resendable, Fired& fired);
 
   /// Bounds the ack phase by the protocol call timeout, failing the op
   /// like a sync call would if the DV never answers. Returns false on
@@ -382,12 +392,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// transport (recovery thread).
   void resendOp(std::uint64_t opId);
 
-  /// Fails everything that cannot survive a transport loss — per-file
-  /// waits, acked-but-owed acquire states, in-flight sync calls — while
-  /// leaving un-acked async ops alive for the post-reconnect resend.
-  /// Lock held.
-  void failNonResendableLocked(const Status& down, Fired& fired);
-
   /// Jittered exponential backoff for attempt N (1-based), seeded from
   /// `hint` (the DV's estimated wait when known, the base otherwise).
   [[nodiscard]] VDuration retryBackoffNs(int attempt, VDuration hint);
@@ -395,8 +399,14 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] Status handleWait(
       const std::shared_ptr<detail::AcquireState>& state, SimfsStatus* status,
       VDuration timeoutNs);
+  /// handleCancel's `only` for cancel(): every file not yet released.
+  static constexpr std::size_t kAllFiles = static_cast<std::size_t>(-1);
+
+  /// Unwinds file `only`'s registration (releaseIndex), or — kAllFiles —
+  /// cancels the whole acquire. Either way ONE fire-and-forget kCancelReq
+  /// carries the files unwound; files released before are left out.
   [[nodiscard]] Status handleCancel(
-      const std::shared_ptr<detail::AcquireState>& state);
+      const std::shared_ptr<detail::AcquireState>& state, std::size_t only);
 
   // --- read-replica spread ----------------------------------------------------
 
@@ -463,9 +473,6 @@ class Session : public std::enable_shared_from_this<Session> {
   /// on, so rebind() can fail the ones whose connection it closes.
   std::map<std::uint64_t, const msg::Transport*> inflight_;
   std::vector<AsyncOp> asyncOps_;  ///< async ops awaiting ack
-  /// Heterogeneous lookup (std::less<>): kFileReady retirements probe by
-  /// the view's string_view without materializing a key.
-  std::map<std::string, FileWait, std::less<>> fileWaits_;
   /// Acquire states not yet terminal (kFileReady fan-out targets).
   std::vector<std::shared_ptr<detail::AcquireState>> active_;
   /// Recycled AcquireStates: an entry whose use_count() is 1 (pool-only)

@@ -109,14 +109,6 @@ Result<bool> SimFSClient::bitrep(const std::string& file,
   return session_->bitrep(file, digest);
 }
 
-Result<SimFSClient::OpenInfo> SimFSClient::open(const std::string& file) {
-  return session_->open(file);
-}
-
-Status SimFSClient::waitFile(const std::string& file) {
-  return session_->waitFile(file);
-}
-
 void SimFSClient::closeNotify(const std::string& file) {
   session_->closeNotify(file);
 }

@@ -20,11 +20,14 @@
 // unwinds its partial registration (the files that resolved before the
 // failure release their DV interest) instead of leaking pinned steps.
 //
-// The transparent-mode primitives used by the I/O facades — open(),
-// waitFile(), closeNotify() — pass through to the Session, as do the
+// Transparent mode (the I/O facades) needs no extra primitives: an
+// intercepted open is an acquireAsync of one file on session(), the
+// intercepted read waits on that handle, and the intercepted close is
+// closeNotify() (or the handle's cancel() if it never completed). The
 // federation semantics (routing-aware connect, redirect-follow, ring
-// adoption); see session.hpp for the full contract. The legacy
-// single-transport connect() keeps working unchanged.
+// adoption) pass through to the Session; see session.hpp for the full
+// contract. The legacy single-transport connect() keeps working
+// unchanged.
 //
 // Thread-safety: all public methods may be called from any thread.
 #pragma once
@@ -48,9 +51,6 @@ using RequestId = std::uint64_t;
 
 class SimFSClient {
  public:
-  /// Result of a non-blocking open.
-  using OpenInfo = Session::OpenInfo;
-
   /// Connects over `transport` and opens a session on `context`
   /// (SIMFS_Init). Blocks for the handshake.
   [[nodiscard]] static Result<std::unique_ptr<SimFSClient>> connect(
@@ -106,17 +106,7 @@ class SimFSClient {
   [[nodiscard]] Result<bool> bitrep(const std::string& file,
                                     std::uint64_t digest);
 
-  // --- transparent-mode primitives -------------------------------------------
-
-  /// Intercepted open: non-blocking; on a miss the DV starts the
-  /// re-simulation and this client later unblocks waitFile().
-  [[nodiscard]] Result<OpenInfo> open(const std::string& file);
-
-  /// Intercepted read's blocking point: waits until `file` (previously
-  /// open()ed or acquired) is available on disk.
-  [[nodiscard]] Status waitFile(const std::string& file);
-
-  /// Intercepted close: fire-and-forget dereference.
+  /// Intercepted close: fire-and-forget dereference of a completed open.
   void closeNotify(const std::string& file);
 
   /// SIMFS_Finalize: closes the session (idempotent).

@@ -9,10 +9,6 @@ namespace simfs::posix {
 
 namespace {
 
-std::string fileKey(const std::string& context, const std::string& file) {
-  return context + "/" + file;
-}
-
 std::size_t resolveBatchMax(std::size_t fromOptions) {
   if (const auto v = env::getInt("SIMFS_POSIX_BATCH")) {
     if (*v > 0) return static_cast<std::size_t>(*v);
@@ -43,7 +39,7 @@ PosixVfs::~PosixVfs() {
   // Unwind in registration order: per-open registrations first, then the
   // listing batches, then the sessions themselves.
   for (auto& [id, open] : opens_) {
-    if (open.own.valid() && !open.ready) (void)open.own.cancel();
+    if (open.own.valid()) (void)open.own.cancel();
   }
   for (auto& [name, ctx] : contexts_) {
     if (ctx.batch != nullptr && ctx.batch->handle.valid()) {
@@ -136,6 +132,7 @@ Result<PosixVfs::DirPage> PosixVfs::readdir(const std::string& context,
   }
   auto batch = std::make_shared<Batch>();
   for (std::size_t i = 0; i < files.size(); ++i) batch->index[files[i]] = i;
+  batch->slots.resize(files.size());
   batch->handle = (*session)->acquireAsync(std::span<const std::string>(files));
   ctx.batch = std::move(batch);
   return page;
@@ -153,21 +150,23 @@ Result<PosixVfs::OpenedFile> PosixVfs::open(const std::string& context,
   auto session = sessionForLocked(context);
   if (!session) return session.status();
   Open open;
-  open.context = context;
-  open.file = file;
-  open.session = *session;
-  auto& ctx = contexts_[context];
-  if (ctx.batch != nullptr && !ctx.batch->doomed &&
-      ctx.batch->index.count(file) != 0) {
-    open.batch = ctx.batch;
-    open.batchIndex = ctx.batch->index[file];
-    ++ctx.batch->users;
-  } else {
+  if (const auto& batch = contexts_[context].batch;
+      batch != nullptr && !batch->doomed) {
+    const auto covered = batch->index.find(file);
+    if (covered != batch->index.end() &&
+        !batch->slots[covered->second].released) {
+      open.batch = batch;
+      open.batchIndex = covered->second;
+      ++batch->slots[covered->second].users;
+    }
+  }
+  if (open.batch == nullptr) {
+    // Not covered, or covered by an index whose registration the last
+    // attached close already released: a batch of one of its own.
     open.own =
         (*session)->acquireAsync(std::span<const std::string>(&file, 1));
   }
   const std::int64_t id = nextOpenId_++;
-  ++activeByFile_[fileKey(context, file)];
   OpenedFile out;
   out.id = id;
   out.size = g->outputStepBytes;
@@ -177,100 +176,51 @@ Result<PosixVfs::OpenedFile> PosixVfs::open(const std::string& context,
 }
 
 Status PosixVfs::waitReady(std::int64_t openId) {
-  std::shared_ptr<dvlib::Session> session;
   dvlib::AcquireHandle handle;
   std::size_t index = 0;
-  std::string file;
   {
     std::lock_guard lock(mutex_);
     const auto it = opens_.find(openId);
     if (it == opens_.end()) {
       return errFailedPrecondition("posix: unknown open handle");
     }
-    if (it->second.ready) return Status::ok();
-    session = it->second.session;
-    file = it->second.file;
     if (it->second.batch != nullptr) {
       handle = it->second.batch->handle;
       index = it->second.batchIndex;
     } else {
       handle = it->second.own;
-      index = 0;
     }
   }
-  // One round trip establishes the per-file outcome; only files the ack
-  // reported OK ever get a wait entry, so probe() gates waitFile().
-  if (const Status st = handle.waitAck(nullptr); !st.isOk()) return st;
-  const auto probe = handle.probe(index);
-  if (!probe.status.isOk()) return probe.status;
-  const Status st = session->waitFile(file);
-  if (st.isOk()) {
-    std::lock_guard lock(mutex_);
-    const auto it = opens_.find(openId);
-    if (it != opens_.end()) it->second.ready = true;
-  }
-  return st;
+  return handle.waitIndex(index);
 }
 
 void PosixVfs::close(std::int64_t openId) {
-  std::shared_ptr<dvlib::Session> session;
-  std::vector<std::string> derefs;
-  dvlib::AcquireHandle cancelOwn;
+  dvlib::AcquireHandle handle;
+  std::size_t index = 0;
   {
     std::lock_guard lock(mutex_);
     const auto it = opens_.find(openId);
     if (it == opens_.end()) return;
     Open open = std::move(it->second);
     opens_.erase(it);
-    session = open.session;
-    const std::string key = fileKey(open.context, open.file);
-    const bool last = --activeByFile_[key] == 0;
-    if (last) activeByFile_.erase(key);
     if (open.batch != nullptr) {
-      --open.batch->users;
-      if (open.ready) {
-        // The batch registered one reference for this file; release it
-        // early so a read-then-close sweep over a listing unpins as it
-        // goes. Deferred while sibling opens still wait on the file:
-        // closeNotify erases the session's wait entry, which would
-        // orphan their blocking reads.
-        if (last) {
-          derefs.assign(
-              static_cast<std::size_t>(1 + deferredDerefs_[key]), open.file);
-          deferredDerefs_.erase(key);
-        } else {
-          ++deferredDerefs_[key];
-        }
-      } else if (last) {
-        // Never-ready and nobody else waiting: flush derefs siblings
-        // deferred onto us (their reads completed; ours never started —
-        // the batch still holds this file's registration either way).
-        const auto d = deferredDerefs_.find(key);
-        if (d != deferredDerefs_.end()) {
-          derefs.assign(static_cast<std::size_t>(d->second), open.file);
-          deferredDerefs_.erase(d);
-        }
+      auto& slot = open.batch->slots[open.batchIndex];
+      if (--slot.users == 0) {
+        // Last attached open: the index's one registration goes now, so
+        // a read-then-close sweep over a listing unpins as it goes.
+        slot.released = true;
+        handle = open.batch->handle;
+        index = open.batchIndex;
       }
       maybeReapBatchLocked(open.batch);
     } else {
-      if (open.ready && last) {
-        derefs.assign(
-            static_cast<std::size_t>(1 + deferredDerefs_[key]), open.file);
-        deferredDerefs_.erase(key);
-        // The own-batch registration converted into the reference we
-        // just queued for deref — nothing left to cancel.
-      } else if (open.ready) {
-        ++deferredDerefs_[key];
-      } else {
-        // Close of an unread handle cancels: one fire-and-forget
-        // kCancelReq releases the waiter entry (still pending) or the
-        // delivered reference, so an opened-never-read file pins nothing.
-        cancelOwn = std::move(open.own);
-      }
+      // One fire-and-forget kCancelReq releases the waiter entry (still
+      // pending) or the delivered reference, so an opened-never-read
+      // file pins nothing either.
+      handle = std::move(open.own);
     }
   }
-  if (cancelOwn.valid()) (void)cancelOwn.cancel();
-  for (const auto& f : derefs) session->closeNotify(f);
+  if (handle.valid()) (void)handle.releaseIndex(index);
 }
 
 Result<std::shared_ptr<dvlib::Session>> PosixVfs::sessionForLocked(
@@ -286,7 +236,11 @@ Result<std::shared_ptr<dvlib::Session>> PosixVfs::sessionForLocked(
 }
 
 void PosixVfs::maybeReapBatchLocked(const std::shared_ptr<Batch>& batch) {
-  if (!batch->doomed || batch->users != 0) return;
+  if (!batch->doomed ||
+      std::any_of(batch->slots.begin(), batch->slots.end(),
+                  [](const Batch::Slot& s) { return s.users != 0; })) {
+    return;
+  }
   if (batch->handle.valid()) (void)batch->handle.cancel();
 }
 

@@ -12,9 +12,9 @@
 //     kOpenBatchReq,
 //   - facade-equivalent blocking semantics: open() registers interest
 //     without blocking, waitReady() blocks on re-simulation exactly like
-//     an intercepted read (Session::waitFile), and close() of a handle
-//     that never became ready cancels instead of leaking the
-//     registration.
+//     an intercepted read (the open's index of its batch, via
+//     AcquireHandle::waitIndex), and close() releases the registration —
+//     a batch index's once, when the last open attached to it closes.
 //
 // Bytes are NOT proxied through this class: once waitReady() returns OK
 // the output step is resident in the context's store and the adapter
@@ -111,10 +111,11 @@ class PosixVfs {
   /// transparent re-simulation wait). Idempotent.
   [[nodiscard]] Status waitReady(std::int64_t openId);
 
-  /// Releases the handle. Never-ready handles cancel their registration
-  /// (own batch) or leave it to the covering batch; ready handles deref
-  /// via closeNotify — deferred while other opens of the same file are
-  /// still in flight, so their blocking waits cannot be orphaned.
+  /// Releases the handle. An own batch of one is cancelled (waiter entry
+  /// or reference, whichever it holds). An attached open only detaches:
+  /// the batch index's single registration is released when the LAST
+  /// open attached to it closes, so sibling waits are never orphaned.
+  /// A later open of that file takes its own batch of one.
   void close(std::int64_t openId);
 
   [[nodiscard]] GeometryClient& geometry() noexcept { return geometry_; }
@@ -122,10 +123,16 @@ class PosixVfs {
  private:
   /// One readdir-driven vectored prefetch over a step window.
   struct Batch {
+    /// Per handle index: opens attached to it, and whether its
+    /// registration was released (its last attached open closed).
+    struct Slot {
+      int users = 0;
+      bool released = false;
+    };
     dvlib::AcquireHandle handle;
     std::map<std::string, std::size_t> index;  ///< file -> handle index
-    int users = 0;      ///< opens currently attached
-    bool doomed = false;  ///< superseded; cancel once users drains to 0
+    std::vector<Slot> slots;
+    bool doomed = false;  ///< superseded; cancel once no open is attached
   };
 
   struct CtxState {
@@ -134,20 +141,17 @@ class PosixVfs {
   };
 
   struct Open {
-    std::string context;
-    std::string file;
-    std::shared_ptr<dvlib::Session> session;
     dvlib::AcquireHandle own;      ///< batch of one (when not covered)
     std::shared_ptr<Batch> batch;  ///< covering batch (when covered)
     std::size_t batchIndex = 0;
-    bool ready = false;
   };
 
   /// Session for `context`, dialed on first use. Caller holds mutex_.
   Result<std::shared_ptr<dvlib::Session>> sessionForLocked(
       const std::string& context);
 
-  /// Cancels `batch` if doomed and drained. Caller holds mutex_.
+  /// Cancels `batch` (every index not yet released) if doomed and no
+  /// open is attached anymore. Caller holds mutex_.
   void maybeReapBatchLocked(const std::shared_ptr<Batch>& batch);
 
   Options options_;
@@ -156,11 +160,6 @@ class PosixVfs {
   std::map<std::string, CtxState> contexts_;
   std::map<std::int64_t, Open> opens_;
   std::int64_t nextOpenId_ = 1;
-  /// Active opens per "context/file" — gates the closeNotify deref so an
-  /// early close cannot erase the wait entry under a sibling's read.
-  std::map<std::string, int> activeByFile_;
-  /// Derefs owed once the last sibling open closes.
-  std::map<std::string, int> deferredDerefs_;
 };
 
 }  // namespace simfs::posix

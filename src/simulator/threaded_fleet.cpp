@@ -66,6 +66,15 @@ bool ThreadedSimulatorFleet::sleepOrKilled(Job& job, VDuration d) {
 
 void ThreadedSimulatorFleet::launch(SimJobId id, const simmodel::JobSpec& spec) {
   std::lock_guard lock(mutex_);
+  // Reap finished jobs so threads do not pile up across a long run. A
+  // done job's body has returned, so the join only waits out the
+  // thread's exit — it never blocks this shard lock on a running job.
+  std::erase_if(jobs_, [](const auto& entry) {
+    Job& job = *entry.second;
+    if (!job.done.load(std::memory_order_acquire)) return false;
+    job.thread.join();
+    return true;
+  });
   auto job = std::make_unique<Job>();
   Job* raw = job.get();
   launched_.fetch_add(1);
@@ -74,8 +83,14 @@ void ThreadedSimulatorFleet::launch(SimJobId id, const simmodel::JobSpec& spec) 
   raw->thread = std::thread([this, raw, id, spec] {
     runJob(*raw, id, spec);
     active_.fetch_sub(1);
+    raw->done.store(true, std::memory_order_release);
   });
   jobs_.emplace(id, std::move(job));
+}
+
+std::size_t ThreadedSimulatorFleet::heldThreads() const {
+  std::lock_guard lock(mutex_);
+  return jobs_.size();
 }
 
 void ThreadedSimulatorFleet::runJob(Job& job, SimJobId id,

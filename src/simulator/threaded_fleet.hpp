@@ -53,10 +53,11 @@ class ThreadedSimulatorFleet final : public dv::SimLauncher {
   void setBatchModel(BatchModel model) { batch_ = model; }
 
   // --- SimLauncher ------------------------------------------------------------
-  /// Non-blocking: spawns the job thread. Called on a daemon worker with
-  /// the owning shard's lock held, so it must never call back into the
-  /// daemon synchronously (job threads report events asynchronously via
-  /// the daemon's shard queues).
+  /// Non-blocking: spawns the job thread, and first joins the threads of
+  /// jobs whose body has returned (never a running one). Called on a
+  /// daemon worker with the owning shard's lock held, so it must never
+  /// call back into the daemon synchronously (job threads report events
+  /// asynchronously via the daemon's shard queues).
   void launch(SimJobId job, const simmodel::JobSpec& spec) override;
   void kill(SimJobId job) override;
 
@@ -73,10 +74,16 @@ class ThreadedSimulatorFleet final : public dv::SimLauncher {
     return active_.load();
   }
 
+  /// Job threads the fleet still holds: running, or finished and not yet
+  /// joined (the next launch() joins those). Bounded by the jobs running
+  /// at the last launch, not by the jobs ever launched.
+  [[nodiscard]] std::size_t heldThreads() const;
+
  private:
   struct Job {
     std::thread thread;
     std::atomic<bool> killed{false};
+    std::atomic<bool> done{false};  ///< body returned: the thread's last act
   };
 
   /// Sleeps for `d` (already scaled) or until the job is killed.
@@ -91,7 +98,7 @@ class ThreadedSimulatorFleet final : public dv::SimLauncher {
   ProduceFn produce_;
   Rng rng_{123};
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable killCv_;
   std::map<std::string, simmodel::ContextConfig> contexts_;
   std::map<SimJobId, std::unique_ptr<Job>> jobs_;

@@ -4,6 +4,7 @@
 #include "analysis/trace_tool.hpp"
 #include "dv/daemon.hpp"
 #include "dvlib/iolib.hpp"
+#include "dvlib/session.hpp"
 #include "dvlib/simfs_client.hpp"
 #include "msg/transport.hpp"
 #include "simulator/threaded_fleet.hpp"
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <thread>
 
 namespace simfs::dv {
@@ -462,6 +465,67 @@ TEST_F(SocketDaemonTest, TraceToolRunsOverLiveStack) {
   EXPECT_EQ(report->failures, 0u);
   EXPECT_GT(report->meanOfMeans, 0.0);
   (*client)->finalize();
+}
+
+/// Live threads of this process, one /proc/self/task entry each.
+std::size_t liveThreads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadedFleetTest, SequentialJobsLeaveABoundedThreadCount) {
+  ContextConfig cfg = socketConfig();
+  cfg.name = "reap";
+  cfg.geometry = StepGeometry(1, 4, 256);
+  cfg.prefetchEnabled = false;  // exactly one demand job per miss
+  vfs::MemFileStore store;
+  Daemon daemon;
+  simulator::ThreadedSimulatorFleet fleet(daemon, store, /*timeScale=*/0.01);
+  ASSERT_TRUE(
+      daemon.registerContext(std::make_unique<simmodel::SyntheticDriver>(cfg))
+          .isOk());
+  fleet.registerContext(cfg);
+  daemon.setLauncher(&fleet);
+  auto session = dvlib::Session::connect(daemon.connectInProc(), cfg.name);
+  ASSERT_TRUE(session.isOk());
+  const std::size_t baseline = liveThreads();
+
+  const auto quiesce = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (fleet.activeJobs() != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  constexpr int kJobs = 16;
+  for (int i = 0; i < kJobs; ++i) {
+    // A demand job runs to the restart after the next one, so every
+    // other restart interval: each acquire misses and launches a short
+    // job, run to completion before the next one.
+    const std::string file = cfg.codec.outputFile(8 * i);
+    ASSERT_TRUE((*session)->acquire({file}).isOk()) << file;
+    ASSERT_TRUE((*session)->release(file).isOk());
+    quiesce();
+  }
+  ASSERT_EQ(fleet.activeJobs(), 0u);
+  EXPECT_GE(fleet.launched(), static_cast<std::uint64_t>(kJobs));
+  // Every launch joined the jobs already finished: the fleet holds at
+  // most the last job or two, not one thread per job ever launched.
+  EXPECT_LE(fleet.heldThreads(), 2u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (liveThreads() > baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(liveThreads(), baseline);
+  (*session)->finalize();
 }
 
 }  // namespace

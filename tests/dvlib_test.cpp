@@ -232,13 +232,17 @@ TEST_F(LiveStackTest, ReleaseWithoutAcquireFails) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitFileBlocks) {
+TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitIndexBlocks) {
   connectClient();
-  auto info = client_->open("out_0000000013.snc");
-  ASSERT_TRUE(info.isOk());
-  EXPECT_FALSE(info->available);       // miss: re-simulation started
-  EXPECT_GT(info->estimatedWait, 0);   // DV estimated the wait
-  ASSERT_TRUE(client_->waitFile("out_0000000013.snc").isOk());
+  // The intercepted open: a batch of one, one round trip for the ack.
+  auto handle = client_->session()->acquireAsync({"out_0000000013.snc"});
+  ASSERT_TRUE(handle.waitAck(nullptr).isOk());
+  const auto probe = handle.probe(0);
+  ASSERT_TRUE(probe.status.isOk());
+  EXPECT_FALSE(probe.available);        // miss: re-simulation started
+  EXPECT_GT(probe.estimatedWait, 0);    // DV estimated the wait
+  // The intercepted read's blocking point.
+  ASSERT_TRUE(handle.waitIndex(0).isOk());
   EXPECT_TRUE(store_.exists("out_0000000013.snc"));
 }
 
@@ -504,9 +508,10 @@ TEST_F(PendingStackTest, DaemonDeathFailsOutstandingWaitsInsteadOfHanging) {
   const Status st = handle.wait();  // must return promptly
   EXPECT_EQ(st.code(), StatusCode::kUnreachable);
   EXPECT_TRUE(handle.complete());
-  // The transparent-mode wait wakes too.
-  EXPECT_EQ(client_->waitFile("out_0000000014.snc").code(),
-            StatusCode::kUnreachable);
+  // The transparent-mode (per-file) wait wakes too, with the same
+  // failed-file status.
+  EXPECT_EQ(handle.waitIndex(0).code(), StatusCode::kUnreachable);
+  EXPECT_EQ(handle.probe(0).status.code(), StatusCode::kUnreachable);
 }
 
 TEST_F(PendingStackTest, FinalizeWakesBlockedWaiters) {

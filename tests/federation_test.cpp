@@ -336,9 +336,12 @@ TEST(FederationTest, WrongNodeSimulatorEventsAreForwarded) {
   ASSERT_TRUE(client.isOk());
 
   const std::string file = cfg.codec.outputFile(0);
-  auto info = (*client)->open(file);
-  ASSERT_TRUE(info.isOk());
-  ASSERT_FALSE(info->available);
+  // Intercepted open across the redirect-followed connect: a batch of
+  // one, waited for its ack only.
+  auto handle = (*client)->session()->acquireAsync({file});
+  ASSERT_TRUE(handle.waitAck(nullptr).isOk());
+  ASSERT_TRUE(handle.probe(0).status.isOk());
+  ASSERT_FALSE(handle.probe(0).available);
 
   SimJobId job = 0;
   simmodel::JobSpec spec;
@@ -373,7 +376,7 @@ TEST(FederationTest, WrongNodeSimulatorEventsAreForwarded) {
   ++sent;
 
   // The forwarded events reach dv0 and release the blocked open.
-  EXPECT_TRUE((*client)->waitFile(file).isOk());
+  EXPECT_TRUE(handle.waitIndex(0).isOk());
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);

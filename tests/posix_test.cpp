@@ -17,9 +17,13 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace simfs::posix {
@@ -222,16 +226,23 @@ TEST(GeometryClientTest, ZeroTtlRefetchesEveryLookup) {
 // ------------------------------------------------------------- live vfs
 
 /// Pass-through transport wrapper counting outbound messages by type —
-/// pins the one-kOpenBatchReq contract of the listing prefetch.
+/// pins the one-kOpenBatchReq contract of the listing prefetch — and the
+/// releases (kCloseNotify / kCancelReq entries) put on the wire per file.
 class CountingTransport final : public msg::Transport {
  public:
   struct Counters {
     std::mutex mu;
     std::map<msg::MsgType, int> sent;
+    std::map<std::string, int> released;
     int of(msg::MsgType t) {
       std::lock_guard lock(mu);
       const auto it = sent.find(t);
       return it == sent.end() ? 0 : it->second;
+    }
+    int releasesOf(const std::string& file) {
+      std::lock_guard lock(mu);
+      const auto it = released.find(file);
+      return it == released.end() ? 0 : it->second;
     }
   };
 
@@ -243,6 +254,10 @@ class CountingTransport final : public msg::Transport {
     {
       std::lock_guard lock(counters_->mu);
       ++counters_->sent[m.type];
+      if (m.type == msg::MsgType::kCloseNotify ||
+          m.type == msg::MsgType::kCancelReq) {
+        for (const auto& f : m.files) ++counters_->released[f];
+      }
     }
     return inner_->send(m);
   }
@@ -280,6 +295,32 @@ Result<msg::Message> inprocGeometryCall(dv::Daemon& daemon,
     return errTimedOut("no geometry reply");
   }
   return std::move(got.front());
+}
+
+/// Runs `fn`, ending the whole test binary with a failure if it has not
+/// returned within `budget` — a lost wakeup fails the suite instead of
+/// hanging it.
+template <typename Fn>
+void withWatchdog(std::chrono::milliseconds budget, const char* what,
+                  Fn&& fn) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread dog([&] {
+    std::unique_lock lock(mu);
+    if (!cv.wait_for(lock, budget, [&] { return done; })) {
+      std::fprintf(stderr, "watchdog: %s still blocked after %lld ms\n",
+                   what, static_cast<long long>(budget.count()));
+      std::_Exit(1);
+    }
+  });
+  fn();
+  {
+    std::lock_guard lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  dog.join();
 }
 
 class PosixVfsTest : public ::testing::Test {
@@ -466,6 +507,63 @@ TEST_F(PosixVfsTest, CloseOfUnreadOpenCancelsCleanly) {
   ASSERT_TRUE(again.isOk());
   ASSERT_TRUE(vfs_->waitReady(again->id).isOk());
   vfs_->close(again->id);
+}
+
+TEST_F(PosixVfsTest, ReopenOfAReadAndClosedListedStepCompletes) {
+  makeVfs();
+  ASSERT_TRUE(vfs_->readdir("posix", 0, 64).isOk());
+  const std::string name = cfg_.codec.outputFile(5);
+  const auto first = vfs_->open("posix", name);  // attaches to the listing
+  ASSERT_TRUE(first.isOk());
+  withWatchdog(std::chrono::seconds(3), "first waitReady", [&] {
+    EXPECT_TRUE(vfs_->waitReady(first->id).isOk());
+  });
+  vfs_->close(first->id);  // releases the listing index's registration
+
+  // The re-open takes a batch of one of its own and must complete.
+  const auto again = vfs_->open("posix", name);
+  ASSERT_TRUE(again.isOk());
+  withWatchdog(std::chrono::seconds(3), "re-open waitReady", [&] {
+    EXPECT_TRUE(vfs_->waitReady(again->id).isOk());
+  });
+  EXPECT_TRUE(store_.read(name).isOk());
+  vfs_->close(again->id);
+  EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), 2);
+  EXPECT_EQ(counters_->releasesOf(name), 2);  // one per registration
+}
+
+TEST_F(PosixVfsTest, AttachedOpensReleaseTheirListingEntryOnce) {
+  makeVfs();
+  ASSERT_TRUE(vfs_->readdir("posix", 0, 64).isOk());
+  const std::string name = cfg_.codec.outputFile(9);
+  constexpr int kOpens = 4;
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < kOpens; ++i) {
+    const auto opened = vfs_->open("posix", name);
+    ASSERT_TRUE(opened.isOk());
+    ids.push_back(opened->id);
+  }
+  // The first open closes before any sibling read: their waits must not
+  // be orphaned by it.
+  withWatchdog(std::chrono::seconds(3), "first waitReady", [&] {
+    EXPECT_TRUE(vfs_->waitReady(ids[0]).isOk());
+  });
+  vfs_->close(ids[0]);
+  EXPECT_EQ(counters_->releasesOf(name), 0);  // siblings still attached
+  for (int i = 1; i < kOpens; ++i) {
+    withWatchdog(std::chrono::seconds(3), "sibling waitReady", [&] {
+      EXPECT_TRUE(vfs_->waitReady(ids[i]).isOk());
+    });
+    vfs_->close(ids[i]);
+  }
+  EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), 1);
+  EXPECT_EQ(counters_->releasesOf(name), 1);  // the last close released it
+
+  // Tearing the listing down cancels every other entry, and leaves the
+  // released one out.
+  vfs_.reset();
+  EXPECT_EQ(counters_->releasesOf(name), 1);
+  EXPECT_EQ(counters_->releasesOf(cfg_.codec.outputFile(10)), 1);
 }
 
 TEST_F(PosixVfsTest, HostileGeometryFailsCleanly) {
