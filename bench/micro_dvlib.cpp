@@ -1,7 +1,7 @@
 // DVLib session-API round-trip costs (google-benchmark): the per-file
 // open loop (the pre-redesign wire shape — one request/reply per file)
 // against the vectored acquire (ONE kOpenBatchReq for the whole batch,
-// released again with one kCancelReq), end-to-end through a real daemon
+// released again with one kReleaseReq), end-to-end through a real daemon
 // over a Unix-domain socket:
 //
 //   Session -> socket -> reactor -> dispatch -> shard queue -> worker
@@ -111,7 +111,7 @@ void BM_DvlibPerFileLoop(benchmark::State& state) {
 }
 
 /// The redesigned shape: the whole batch in ONE kOpenBatchReq, released
-/// again with one kCancelReq. The span overload routes through the
+/// again with one kReleaseReq. The span overload routes through the
 /// session's pooled acquire states and the transports' pooled wire
 /// buffers, so after the untimed warm-up cycles the loop reports
 /// 0 allocs/op end to end (client + reactor + daemon) — CI gates on it.

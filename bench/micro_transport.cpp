@@ -7,10 +7,10 @@
 //
 // Two shapes per transport:
 //
-//   * OpenRtt — one client, one pre-seeded kOpenReq in flight at a time,
-//     acked before the next goes out. Time/op IS the open round trip; the
-//     client spins (no condvar) so the number is the wire + pipeline
-//     latency, not scheduler wake-up jitter.
+//   * OpenRtt — one client, one pre-seeded one-file kOpenBatchReq in
+//     flight at a time, acked before the next goes out. Time/op IS the
+//     open round trip; the client spins (no condvar) so the number is the
+//     wire + pipeline latency, not scheduler wake-up jitter.
 //   * OpenFlood — N clients stream opens with a bounded unacked window;
 //     items_per_second is end-to-end throughput. The steady-state
 //     allocs/op counter must be 0 on BOTH transports — the shm ring
@@ -149,7 +149,7 @@ struct BenchClient {
   /// One acked open, spinning on the ack counter: the measured RTT.
   bool openOnce(int i) {
     msg::Message& m = request;
-    m.type = msg::MsgType::kOpenReq;
+    m.type = msg::MsgType::kOpenBatchReq;
     m.files.resize(1);
     m.files[0] = files[static_cast<std::size_t>(i) % files.size()];
     const std::uint64_t want =
@@ -166,7 +166,7 @@ struct BenchClient {
   /// Streams `n` opens with at most kInFlightWindow unacked, then drains.
   void flood(int n) {
     msg::Message& m = request;
-    m.type = msg::MsgType::kOpenReq;
+    m.type = msg::MsgType::kOpenBatchReq;
     m.files.resize(1);
     for (int i = 0; i < n; ++i) {
       m.files[0] = files[static_cast<std::size_t>(i) % files.size()];

@@ -66,7 +66,8 @@
 //       go out in one kOpenBatchReq, the per-file ack outcomes are
 //       printed (available now / re-simulating + estimated wait /
 //       failed), then the command blocks until the whole batch resolved
-//       and releases the acquired references again (kCancelReq).
+//       and releases the acquired references again (one fire-and-forget
+//       kReleaseReq through the handle's cancel()).
 //
 //   simfsctl ls <socket-path> [<context>]
 //       The POSIX frontend's synthesized namespace without a mount: no

@@ -44,10 +44,7 @@ void atomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
 msg::MsgType ackTypeFor(msg::MsgType request) noexcept {
   switch (request) {
     case msg::MsgType::kHello: return msg::MsgType::kHelloAck;
-    case msg::MsgType::kOpenReq: return msg::MsgType::kOpenAck;
     case msg::MsgType::kOpenBatchReq: return msg::MsgType::kOpenBatchAck;
-    case msg::MsgType::kCancelReq: return msg::MsgType::kCancelAck;
-    case msg::MsgType::kAcquireReq: return msg::MsgType::kAcquireAck;
     case msg::MsgType::kReleaseReq: return msg::MsgType::kReleaseAck;
     case msg::MsgType::kBitrepReq: return msg::MsgType::kBitrepAck;
     case msg::MsgType::kStatusReq: return msg::MsgType::kStatusAck;
@@ -64,6 +61,21 @@ msg::MsgType ackTypeFor(msg::MsgType request) noexcept {
       return msg::MsgType::kContextHandoffAck;
     default: return msg::MsgType::kError;
   }
+}
+
+/// The protocol version a kHello advertising kHelloCapVersion gets:
+/// ints = [min, max] the client speaks (one element v means [v, v]; none
+/// means a version-1-only client), answered with the top of the overlap
+/// with this build's range. 0 when the ranges do not overlap. Simulator
+/// and analysis hellos share it, so the same offer gets the same answer.
+std::int64_t negotiateVersion(std::span<const std::int64_t> ints) noexcept {
+  const std::int64_t theirMin = ints.empty() ? 1 : ints[0];
+  const std::int64_t theirMax = ints.size() > 1 ? ints[1] : theirMin;
+  const std::int64_t chosen =
+      std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
+  return chosen < std::max<std::int64_t>(msg::kProtocolVersionMin, theirMin)
+             ? 0
+             : chosen;
 }
 
 /// Effective read-replica count R: Options wins when >= 0, otherwise the
@@ -468,16 +480,14 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
           reply.intArg2 = negotiatedChoice(*session->transport);
         }
         if ((m.intArg2() & msg::kHelloCapVersion) != 0) {
-          std::int64_t theirMin = 1, theirMax = 1;
-          if (m.intCount() >= 2) {
-            auto it = m.intsBegin();
-            theirMin = *it;
-            theirMax = *++it;
+          std::int64_t offer[2] = {};
+          std::size_t n = 0;
+          for (auto it = m.intsBegin(); it != m.intsEnd() && n < 2; ++it) {
+            offer[n++] = *it;
           }
           const std::int64_t chosen =
-              std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
-          if (chosen <
-              std::max<std::int64_t>(msg::kProtocolVersionMin, theirMin)) {
+              negotiateVersion(std::span<const std::int64_t>(offer, n));
+          if (chosen == 0) {
             const Status st =
                 errFailedPrecondition("dv: no protocol version overlap");
             reply.code = codeOf(st);
@@ -663,12 +673,11 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
   // Everything else needs the session's bound shard.
   const int shard = session->shard.load();
   if (shard < 0) {
-    if (m.type() == msg::MsgType::kCloseNotify ||
-        (m.type() == msg::MsgType::kCancelReq && m.requestId() == 0)) {
-      // Fire-and-forget even when unbound. Not forwarded: a deref only
-      // means something for the client session holding the reference,
+    if (m.type() == msg::MsgType::kReleaseReq && m.requestId() == 0) {
+      // Fire-and-forget even when unbound. Not forwarded: a release only
+      // means something for the client session holding the interest,
       // and that session lives on the owner already (hello redirects
-      // before any reference can exist here).
+      // before any registration can exist here).
       return;
     }
     const Status st = errFailedPrecondition("dv: unknown client");
@@ -1673,16 +1682,16 @@ bool Daemon::enqueueClient(std::size_t shard,
                            const msg::MessageView& m) {
   auto& sv = *serving_[shard];
   // Backpressure: only request/reply client traffic is sheddable — the
-  // client sees kUnavailable and can back off. Fire-and-forget client
-  // messages and simulator events always enqueue: dropping those would
-  // corrupt bookkeeping, and their volume is bounded by the request
-  // traffic that produces them. Cancels also always enqueue: they FREE
-  // resources (waiter entries, pinned slots), so shedding one under
-  // overload would leak exactly when the daemon can least afford it. The
-  // check shares the queue's one lock acquisition, so concurrent
-  // dispatchers cannot overshoot the cap — and the arena copy happens
-  // under the same lock, into the queue's active arena.
-  const bool sheddable = m.type() != msg::MsgType::kCancelReq &&
+  // client sees kUnavailable and can back off. Simulator events always
+  // enqueue: dropping those would corrupt bookkeeping, and their volume
+  // is bounded by the request traffic that produces them. Releases also
+  // always enqueue, acked or not: they FREE resources (waiter entries,
+  // pinned slots), so shedding one under overload would leak exactly
+  // when the daemon can least afford it. The check shares the queue's one
+  // lock acquisition, so concurrent dispatchers cannot overshoot the cap —
+  // and the arena copy happens under the same lock, into the queue's
+  // active arena.
+  const bool sheddable = m.type() != msg::MsgType::kReleaseReq &&
                          ackTypeFor(m.type()) != msg::MsgType::kError;
   bool shed = false;
   {
@@ -1904,17 +1913,14 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
   const ClientId client = session->client.load();
 
   // Elastic-membership redirect: once a commit moved this session's
-  // context to another node, interest-registering ops are answered with
-  // kRedirect (carrying the new table) instead of being served here — the
-  // client rebinds and resends under the same requestId. Release-side ops
-  // (kReleaseReq, kCancelReq, kCloseNotify) still run locally so pinned
-  // residue drains, and replica-session reads keep working by design. The
-  // sticky membershipChanged_ gate keeps this off every pre-elastic path.
+  // context to another node, the interest op (kOpenBatchReq) is answered
+  // with kRedirect (carrying the new table) instead of being served here —
+  // the client rebinds and resends under the same requestId. kReleaseReq
+  // still runs locally so pinned residue drains, and replica-session
+  // reads keep working by design. The sticky membershipChanged_ gate
+  // keeps this off every pre-elastic path.
   if (membershipChanged_.load(std::memory_order_relaxed) && client != 0 &&
-      !session->replica.load() &&
-      (m.type == msg::MsgType::kOpenReq ||
-       m.type == msg::MsgType::kOpenBatchReq ||
-       m.type == msg::MsgType::kAcquireReq)) {
+      !session->replica.load() && m.type == msg::MsgType::kOpenBatchReq) {
     const auto ringSnap = ringRef();
     const cluster::NodeInfo* owner = nullptr;
     if (ownedElsewhere(*ringSnap, session->context, &owner)) {
@@ -1935,16 +1941,12 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
       if ((m.intArg2 & msg::kHelloCapShm) != 0) {
         reply.intArg2 = negotiatedChoice(*session->transport);
       }
-      if ((m.intArg2 & msg::kHelloCapVersion) != 0 && !m.ints.empty()) {
-        // Protocol-version handshake: client advertises [min, max], the
-        // daemon answers the highest version both sides speak. A client
-        // whose floor is above this daemon's ceiling cannot proceed.
-        const std::int64_t theirMin = m.ints[0];
-        const std::int64_t theirMax =
-            m.ints.size() > 1 ? m.ints[1] : m.ints[0];
-        const std::int64_t chosen =
-            std::min<std::int64_t>(msg::kProtocolVersionMax, theirMax);
-        if (chosen < theirMin || chosen < msg::kProtocolVersionMin) {
+      if ((m.intArg2 & msg::kHelloCapVersion) != 0) {
+        // Protocol-version handshake: the daemon answers the highest
+        // version both sides speak. A client whose floor is above this
+        // daemon's ceiling cannot proceed.
+        const std::int64_t chosen = negotiateVersion(m.ints);
+        if (chosen == 0) {
           const Status st =
               errFailedPrecondition("dv: no protocol version overlap");
           reply.code = codeOf(st);
@@ -1988,22 +1990,6 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
         reply.code = codeOf(id.status());
         reply.text = arena.copyString(id.status().message());
       }
-      break;
-    }
-    case msg::MsgType::kOpenReq: {
-      reply.type = msg::MsgType::kOpenAck;
-      if (m.files.empty()) {
-        reply.code = codeOf(errInvalidArgument("open: no file"));
-        break;
-      }
-      const auto res = shard.clientOpen(client, m.files[0]);
-      reply.code = codeOf(res.status);
-      if (!res.status.isOk()) reply.text = arena.copyString(res.status.message());
-      reply.intArg = res.available ? 1 : 0;
-      reply.intArg2 = res.estimatedWait;
-      // Echo the filename: the request's arena copy is stable until the
-      // reply has been flushed, so the span aliases it — no copy at all.
-      reply.files = m.files.first(1);
       break;
     }
     case msg::MsgType::kOpenBatchReq: {
@@ -2080,72 +2066,29 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
       }
       break;
     }
-    case msg::MsgType::kCancelReq: {
-      // Abandoned acquire: free every piece of interest the batch still
-      // holds. Per-file misses (already released, never opened) are
-      // expected under races and fail soft — the ack reports how many
-      // registrations were actually freed.
-      reply.type = msg::MsgType::kCancelAck;
-      std::int64_t freed = 0;
-      for (const auto f : m.files) {
-        if (shard.clientCancel(client, f).isOk()) ++freed;
-      }
-      reply.code = codeOf(Status::ok());
-      reply.intArg = freed;
-      // requestId 0 marks a fire-and-forget cancel (the DVLib default,
-      // mirroring kCloseNotify): no ack is wanted.
-      sendReply = m.requestId != 0;
-      break;
-    }
-    case msg::MsgType::kAcquireReq: {
-      reply.type = msg::MsgType::kAcquireAck;
-      Status worst = Status::ok();
-      VDuration maxWait = 0;
-      auto ready = arena.allocSpan<std::string_view>(m.files.size());
-      std::size_t nReady = 0;
-      for (const auto f : m.files) {
-        const auto res = shard.clientOpen(client, f);
-        if (!res.status.isOk()) {
-          worst = res.status;
-          continue;
-        }
-        if (res.available) {
-          ready[nReady++] = f;  // immediately ready subset
-        } else {
-          maxWait = std::max(maxWait, res.estimatedWait);
-        }
-      }
-      reply.files = ready.first(nReady);
-      reply.code = codeOf(worst);
-      if (!worst.isOk()) reply.text = arena.copyString(worst.message());
-      reply.intArg2 = maxWait;
-      break;
-    }
-    case msg::MsgType::kCloseNotify: {
-      if (!m.files.empty()) {
-        (void)shard.clientRelease(client, m.files[0]);
-      }
-      sendReply = false;  // fire-and-forget (transparent-mode close)
-      break;
-    }
     case msg::MsgType::kReleaseReq: {
-      // Batched like kOpenBatchReq: one message releases every file under
-      // the single shard-lock acquisition this drain already holds.
+      // The one release op. Batched like kOpenBatchReq: one message frees
+      // every file under the single shard-lock acquisition this drain
+      // already holds — per file the client's waiter entry if the step is
+      // still pending (an abandoned acquire), else one reference.
       reply.type = msg::MsgType::kReleaseAck;
       Status worst = m.files.empty() ? errInvalidArgument("release: no file")
                                      : Status::ok();
-      std::int64_t released = 0;
+      std::int64_t freed = 0;
       for (const auto f : m.files) {
         const Status st = shard.clientRelease(client, f);
         if (st.isOk()) {
-          ++released;
+          ++freed;
         } else {
           worst = st;
         }
       }
       reply.code = codeOf(worst);
       if (!worst.isOk()) reply.text = arena.copyString(worst.message());
-      reply.intArg = released;
+      reply.intArg = freed;
+      // requestId 0 marks a fire-and-forget release (cancels and
+      // transparent closes): no ack is wanted.
+      sendReply = m.requestId != 0;
       break;
     }
     case msg::MsgType::kBitrepReq: {

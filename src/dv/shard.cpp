@@ -275,30 +275,13 @@ Status DvShard::clientRelease(ClientId client, std::string_view file) {
   if (info == nullptr) return errFailedPrecondition("dv: unknown client");
   ContextState* ctx = info->ctx;
   SIMFS_CHECK(ctx != nullptr);
+  if (ctx->driver->config().codec.isRestartFile(file)) {
+    return Status::ok();  // restart opens register nothing to release
+  }
   // Same parse seam as clientOpen: the driver's key() is the authority
   // (its default is the allocation-free codec fast path).
   const auto key = ctx->driver->key(file);
   if (!key) return errFailedPrecondition("dv: release without open: " + std::string(file));
-  const StepIndex step = *key;
-  const auto rit = info->refs.find(step);
-  if (rit == info->refs.end() || rit->second <= 0) {
-    return errFailedPrecondition("dv: release without open: " + std::string(file));
-  }
-  --rit->second;  // zero-count entries linger: keeps the hot path node-free
-  if (!info->replica) ctx->cache->unpin(step);
-  return Status::ok();
-}
-
-Status DvShard::clientCancel(ClientId client, std::string_view file) {
-  auto* info = findClient(client);
-  if (info == nullptr) return errFailedPrecondition("dv: unknown client");
-  ContextState* ctx = info->ctx;
-  SIMFS_CHECK(ctx != nullptr);
-  if (ctx->driver->config().codec.isRestartFile(file)) {
-    return Status::ok();  // restart opens register nothing to cancel
-  }
-  const auto key = ctx->driver->key(file);
-  if (!key) return errFailedPrecondition("dv: cancel without open: " + std::string(file));
   const StepIndex step = *key;
 
   // Still pending: the open registered this client as a waiter. Remove
@@ -332,14 +315,15 @@ Status DvShard::clientCancel(ClientId client, std::string_view file) {
   }
 
   // Already delivered (available at open time, or the notification won
-  // the race against this cancel): the open holds a reference — drop it.
+  // the race against this release): the open holds a reference — drop it.
+  // Zero-count entries linger: keeps the hot path node-free.
   const auto rit = info->refs.find(step);
   if (rit != info->refs.end() && rit->second > 0) {
     --rit->second;
     if (!info->replica) ctx->cache->unpin(step);
     return Status::ok();
   }
-  return errFailedPrecondition("dv: cancel without open: " + std::string(file));
+  return errFailedPrecondition("dv: release without open: " + std::string(file));
 }
 
 Result<bool> DvShard::clientBitrep(ClientId client, std::string_view file,

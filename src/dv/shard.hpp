@@ -224,16 +224,15 @@ class DvShard {
   [[nodiscard]] OpenResult clientOpen(ClientId client, std::string_view file,
                                       VTime deadline = 0);
 
-  /// Transparent-mode close / SIMFS_Release: drops one reference.
+  /// Transparent-mode close / SIMFS_Release / cancellation of an
+  /// abandoned acquire (kReleaseReq): drops the interest the client's open
+  /// of `file` registered — ONE waiter entry if the step is still pending,
+  /// otherwise one reference (the open, or the availability notification
+  /// racing the release, already delivered it). A cancelled acquire
+  /// therefore can never pin a cache slot. OK for restart files, whose
+  /// open registers nothing. Fails soft (kFailedPrecondition) when no
+  /// interest is held.
   Status clientRelease(ClientId client, std::string_view file);
-
-  /// Cancellation of an abandoned acquire (kCancelReq): releases whatever
-  /// interest the client's open of `file` registered — the waiter entry
-  /// if the step is still pending, or one reference if the open (or the
-  /// availability notification racing the cancel) already delivered it.
-  /// A cancelled acquire therefore can never pin a cache slot. Fails soft
-  /// (kFailedPrecondition) when no interest is held.
-  Status clientCancel(ClientId client, std::string_view file);
 
   /// SIMFS_Bitrep: compares `digest` (computed client-side over the
   /// re-simulated file) with the recorded reference checksum.

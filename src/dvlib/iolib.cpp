@@ -159,7 +159,6 @@ Status IoDispatch::write(std::int64_t handle, std::string content) {
 
 Status IoDispatch::close(std::int64_t handle) {
   Handle h;
-  SimFSClient* client = nullptr;
   vfs::FileStore* store = nullptr;
   std::function<void(const std::string&)> onFileClosed;
   Role role;
@@ -169,7 +168,6 @@ Status IoDispatch::close(std::int64_t handle) {
     if (it == handles_.end()) return errNotFound("iolib: bad handle");
     h = std::move(it->second);
     handles_.erase(it);
-    client = client_;
     store = store_;
     onFileClosed = onFileClosed_;
     role = role_;
@@ -180,19 +178,14 @@ Status IoDispatch::close(std::int64_t handle) {
     if (role == Role::kSimulator && onFileClosed) onFileClosed(h.name);
     return Status::ok();
   }
-  // Analysis close: dereference the output step at the DV. An open whose
-  // acquire never completed (or was never read) is CANCELLED instead —
-  // the DV drops the waiter entry / reference so the abandoned open
-  // cannot pin a cache slot.
-  if (role == Role::kAnalysis && client != nullptr && h.acquire.valid()) {
+  // Analysis close: release the open's DV interest through its handle —
+  // the waiter entry if the acquire never completed (or was never read),
+  // the reference if it did — on the node that served it. A batch of one
+  // that completed with a failure holds no interest: nothing to release.
+  if (role == Role::kAnalysis && h.acquire.valid()) {
     bool done = false;
     const Status st = h.acquire.test(&done, nullptr);
-    if (!done) {
-      (void)h.acquire.cancel();
-    } else if (st.isOk()) {
-      client->closeNotify(h.name);
-    }
-    // Completed-with-failure holds no DV interest: nothing to release.
+    if (!done || st.isOk()) (void)h.acquire.cancel();
   }
   return Status::ok();
 }

@@ -25,9 +25,10 @@
 // back-to-back instead of paying N serial round trips. The read is the
 // first point that waits on the open's AcquireHandle (for sadios that is
 // sadios_perform_reads, the scheduled-read model); open-time errors such
-// as an unparsable name therefore surface at the read. Closing a handle
-// whose acquire never completed cancels it (kCancelReq), so abandoned
-// opens cannot pin DV cache slots.
+// as an unparsable name therefore surface at the read. The close is the
+// open handle's cancel(): one fire-and-forget kReleaseReq, sent to the
+// node that served the open, drops the waiter entry or the reference, so
+// neither a completed nor an abandoned open can pin a DV cache slot.
 //
 // All payloads use one trivial container format: "SNC1" magic, u64 count,
 // raw little-endian doubles (helpers below).

@@ -911,11 +911,11 @@ void Session::recoveryLoop() {
         // cache pins, so a lost cancel is benign), then resend the batch
         // on the owner under the same requestId.
         if (fb.replica && fb.replica->isOpen()) {
-          msg::MessageRef cancel;
-          cancel.type = msg::MsgType::kCancelReq;
-          cancel.context = context_;
-          cancel.files = scratchViewsOf(files);
-          (void)fb.replica->send(cancel);
+          msg::MessageRef unwind;
+          unwind.type = msg::MsgType::kReleaseReq;
+          unwind.context = context_;
+          unwind.files = scratchViewsOf(files);
+          (void)fb.replica->send(unwind);
         }
         resendOp(fb.opId);
       }
@@ -1439,11 +1439,11 @@ Status Session::handleCancel(
   }
   // One wire op frees everything unwound here: waiter entries for steps
   // still pending, references for steps already delivered. Fire-and-
-  // forget like closeNotify (requestId 0 tells the daemon no ack is
-  // wanted): an intercepted close must not pay a round trip, and
-  // per-connection FIFO guarantees the release lands after its batch.
+  // forget (requestId 0 tells the daemon no ack is wanted): an
+  // intercepted close must not pay a round trip, and per-connection FIFO
+  // guarantees the release lands after its batch.
   msg::MessageRef m;
-  m.type = msg::MsgType::kCancelReq;
+  m.type = msg::MsgType::kReleaseReq;
   m.context = context_;
   m.files = unwind;
   Status sent = Status::ok();
@@ -1468,15 +1468,6 @@ Status Session::acquire(const std::vector<std::string>& files,
     if (status != nullptr) status->error = st;  // keep the original error
   }
   return st;
-}
-
-void Session::closeNotify(const std::string& file) {
-  const std::string_view one[1] = {file};
-  msg::MessageRef m;
-  m.type = msg::MsgType::kCloseNotify;
-  m.context = context_;  // self-describing for daemon-side diagnostics
-  m.files = one;
-  if (auto t = transportRef()) (void)t->send(m);
 }
 
 Status Session::release(const std::string& file) {

@@ -26,7 +26,7 @@
 //                                inline if already complete
 //   cancel()                   — first-class cancellation: completes the
 //                                handle with kCancelled and sends ONE
-//                                kCancelReq releasing every waiter entry
+//                                kReleaseReq freeing every waiter entry
 //                                and output-step reference the batch
 //                                registered, so an abandoned acquire can
 //                                never pin cache slots
@@ -35,7 +35,13 @@
 //   waitIndex(i)               — the transparent-mode read's blocking
 //                                point: block until file i alone resolved
 //   releaseIndex(i)            — unwind file i's registration now (one
-//                                kCancelReq); a later cancel() skips it
+//                                kReleaseReq); a later cancel() skips it
+//
+// The wire carries exactly two DV ops: kOpenBatchReq registers interest
+// and kReleaseReq drops it. A release always travels to the link the
+// batch registered on (servedBy — a read replica when the spread sent it
+// there), which is why the transparent close is the handle's cancel()
+// rather than a by-name release.
 //
 // The handle's state is the ONLY record of a file's outcome: the session
 // keeps no per-name table, so two acquires of the same file never share
@@ -145,11 +151,12 @@ class AcquireHandle {
   void then(std::function<void(const Status&)> fn);
 
   /// Cancels the acquire: the handle completes with kCancelled (waiters
-  /// wake, continuations fire) and one fire-and-forget kCancelReq
-  /// releases every waiter entry / step reference the batch registered
-  /// at the DV — like closeNotify, no reply round trip blocks the
-  /// caller. Idempotent; per-connection FIFO ordering guarantees the
-  /// release lands after the batch it unwinds.
+  /// wake, continuations fire) and one fire-and-forget kReleaseReq frees
+  /// every waiter entry / step reference the batch registered at the DV,
+  /// on the link that registered it — no reply round trip blocks the
+  /// caller. On a completed handle only the release happens: this is the
+  /// transparent close. Idempotent; per-connection FIFO ordering
+  /// guarantees the release lands after the batch it unwinds.
   [[nodiscard]] Status cancel();
 
   /// True once the handle reached a terminal state (non-blocking).
@@ -168,7 +175,7 @@ class AcquireHandle {
   [[nodiscard]] Status waitIndex(std::size_t index);
 
   /// Unwinds file `index`'s registration at the DV now, with one
-  /// fire-and-forget kCancelReq (waiter entry if still pending, reference
+  /// fire-and-forget kReleaseReq (waiter entry if still pending, reference
   /// if delivered). The file resolves kCancelled if it had not yet; a
   /// later cancel() leaves it out, so its registration is released once.
   /// Idempotent.
@@ -225,17 +232,13 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] Status acquire(const std::vector<std::string>& files,
                                SimfsStatus* status = nullptr);
 
-  /// Intercepted close: fire-and-forget dereference of one reference a
-  /// completed acquire of `file` registered. (The intercepted open and
-  /// read are an acquireAsync of one file and its handle's waitIndex.)
-  void closeNotify(const std::string& file);
-
-  /// SIMFS_Release.
+  /// SIMFS_Release by name: one acked kReleaseReq.
   [[nodiscard]] Status release(const std::string& file);
 
-  /// Batched SIMFS_Release: every file travels in ONE kReleaseReq and
-  /// the daemon drops all references under a single shard-lock
-  /// acquisition (mirrors the vectored acquire).
+  /// Batched SIMFS_Release: every file travels in ONE acked kReleaseReq
+  /// and the daemon drops all references under a single shard-lock
+  /// acquisition (mirrors the vectored acquire). Names with a
+  /// replica-registered reference are released on that replica.
   [[nodiscard]] Status release(std::span<const std::string> files);
 
   /// SIMFS_Bitrep: compares the digest (computed over the locally read
@@ -403,7 +406,7 @@ class Session : public std::enable_shared_from_this<Session> {
   static constexpr std::size_t kAllFiles = static_cast<std::size_t>(-1);
 
   /// Unwinds file `only`'s registration (releaseIndex), or — kAllFiles —
-  /// cancels the whole acquire. Either way ONE fire-and-forget kCancelReq
+  /// cancels the whole acquire. Either way ONE fire-and-forget kReleaseReq
   /// carries the files unwound; files released before are left out.
   [[nodiscard]] Status handleCancel(
       const std::shared_ptr<detail::AcquireState>& state, std::size_t only);

@@ -109,10 +109,6 @@ Result<bool> SimFSClient::bitrep(const std::string& file,
   return session_->bitrep(file, digest);
 }
 
-void SimFSClient::closeNotify(const std::string& file) {
-  session_->closeNotify(file);
-}
-
 void SimFSClient::finalize() { session_->finalize(); }
 
 }  // namespace simfs::dvlib

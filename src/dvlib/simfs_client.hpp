@@ -11,8 +11,8 @@
 //   SIMFS_Bitrep                       -> bitrep()
 //
 // but every acquire — blocking or not, 1 file or 64 — is now ONE
-// kOpenBatchReq round trip resolved by the Session core; the old
-// per-file kOpenReq loop is gone. RequestIds map 1:1 onto AcquireHandles
+// kOpenBatchReq round trip resolved by the Session core, and every
+// release is one kReleaseReq. RequestIds map 1:1 onto AcquireHandles
 // held in a small table; wait/test/waitSome/testSome delegate to the
 // handle and erase the entry on completion, reproducing the original
 // consume-on-completion semantics. cancel() exposes the core's
@@ -23,7 +23,7 @@
 // Transparent mode (the I/O facades) needs no extra primitives: an
 // intercepted open is an acquireAsync of one file on session(), the
 // intercepted read waits on that handle, and the intercepted close is
-// closeNotify() (or the handle's cancel() if it never completed). The
+// that handle's cancel(), which releases on whichever node served it. The
 // federation semantics (routing-aware connect, redirect-follow, ring
 // adoption) pass through to the Session; see session.hpp for the full
 // contract. The legacy single-transport connect() keeps working
@@ -105,9 +105,6 @@ class SimFSClient {
   /// content) against the reference recorded at initial-simulation time.
   [[nodiscard]] Result<bool> bitrep(const std::string& file,
                                     std::uint64_t digest);
-
-  /// Intercepted close: fire-and-forget dereference of a completed open.
-  void closeNotify(const std::string& file);
 
   /// SIMFS_Finalize: closes the session (idempotent).
   void finalize();

@@ -19,6 +19,7 @@ struct FixedSink {
     return p;
   }
   void append(const void* p, std::size_t n) {
+    if (n == 0) return;  // empty field: p may be nullptr
     std::memcpy(grow(n), p, n);
   }
 };

@@ -34,23 +34,27 @@ enum class MsgType : std::uint16_t {
                    ///< stay byte-identical to the pre-negotiation protocol.
 
   // --- analysis-side data access (Sec. III-A, III-C) -----------------------
-  kOpenReq,        ///< files[0]=name: transparent open interception
-  kOpenAck,        ///< code=status, intArg: 1 if already available else 0
-  kCloseNotify,    ///< files[0]=name: close interception (deref), no reply
-  kAcquireReq,     ///< files[]: SIMFS_Acquire(_nb)
-  kAcquireAck,     ///< code=status, intArg=estimated wait (ns)
-  kReleaseReq,     ///< files[]: SIMFS_Release. Vectored like kOpenBatchReq:
-                   ///< the daemon drops every file's reference under ONE
-                   ///< shard-lock acquisition.
-  kReleaseAck,     ///< code=worst per-file status, intArg=#refs released
+  // Interest is registered by kOpenBatchReq (below) and dropped by
+  // kReleaseReq; together they are the paper's SIMFS_Acquire /
+  // SIMFS_Release and its transparent open / close. Values 3-7 belonged to
+  // retired ops and stay unassigned: a frame carrying one gets kError.
+  kReleaseReq = 8, ///< files[]: drop the DV interest a kOpenBatchReq
+                   ///< registered — per file, ONE waiter entry while the
+                   ///< step is still pending, else one output-step
+                   ///< reference. Vectored: the daemon frees every file
+                   ///< under ONE shard-lock acquisition. Never shed: a
+                   ///< dropped release would leak pinned cache slots.
+                   ///< requestId 0 = fire-and-forget (no ack), how
+                   ///< cancels and transparent closes send it.
+  kReleaseAck,     ///< code=worst per-file status, intArg=#files freed
+                   ///< (only sent for releases with requestId != 0)
   kBitrepReq,      ///< files[0]=name: SIMFS_Bitrep
   kBitrepAck,      ///< code=status, intArg: 1 bitwise match, 0 mismatch
   kFileReady,      ///< DV->client: files[0]=name, code=status (also failures)
 
   // --- simulator-side events (Sec. III-B) -----------------------------------
-  kSimHello,       ///< simulator->DV: intArg=job id
-  kSimFileCreated, ///< files[0]=name: create interception (redirect)
-  kSimFileClosed,  ///< files[0]=name, intArg=size: file is ready on disk
+  // 13-14 are retired and stay unassigned.
+  kSimFileClosed = 15, ///< files[0]=name, intArg=size: file is ready on disk
   kSimFinished,    ///< job completed; code=status (failures propagate)
 
   // --- introspection ----------------------------------------------------------
@@ -80,8 +84,10 @@ enum class MsgType : std::uint16_t {
                    ///< newer table; receivers re-resolve routing.
                    ///< intArg2=read-replica count R (0 = replicas off).
 
-  // --- vectored session ops (async DVLib core) --------------------------------
-  kOpenBatchReq,   ///< files[]: open N files in ONE round trip. The daemon
+  // --- the interest op (async DVLib core) -------------------------------------
+  kOpenBatchReq,   ///< files[]: register interest in N files in ONE round
+                   ///< trip — every SIMFS_Acquire(_nb) and every
+                   ///< intercepted open, batch of one included. The daemon
                    ///< resolves the whole batch under a single shard-lock
                    ///< acquisition; per-file outcomes come back in the ack.
                    ///< intArg2=relative deadline budget (ns, 0 = none): the
@@ -95,17 +101,10 @@ enum class MsgType : std::uint16_t {
                    ///< ints[2i+1]=per-file estimated wait (ns).
                    ///< intArg=#immediately available, intArg2=max
                    ///< estimated wait across the batch.
-  kCancelReq,      ///< files[]: release DV interest registered by an
-                   ///< abandoned acquire — per file, either the client's
-                   ///< waiter entry (still pending) or one output-step
-                   ///< reference (already delivered). Never shed: dropping
-                   ///< a cancel would leak pinned cache slots. requestId 0
-                   ///< = fire-and-forget (no ack), the DVLib default.
-  kCancelAck,      ///< code=status, intArg=#files whose interest was freed
-                   ///< (only sent for cancels with requestId != 0)
+  // 27-28 are retired and stay unassigned.
 
   // --- liveness (peer health / probing) ---------------------------------------
-  kPing,           ///< liveness probe: intArg=sender's monotonic sequence
+  kPing = 29,      ///< liveness probe: intArg=sender's monotonic sequence
                    ///< number. Sent daemon->daemon as the peer heartbeat and
                    ///< by `simfsctl ping`; answered inline, never queued.
   kPong,           ///< probe reply: intArg echoes the ping sequence,

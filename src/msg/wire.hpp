@@ -73,8 +73,10 @@ class WireBuffer {
     }
   }
 
-  /// Appends `n` raw bytes.
+  /// Appends `n` raw bytes. An empty field may pass p == nullptr, which
+  /// memcpy must never see, even with n == 0.
   void append(const void* p, std::size_t n) {
+    if (n == 0) return;
     std::memcpy(grow(n), p, n);
   }
 

@@ -214,7 +214,7 @@ void PosixVfs::close(std::int64_t openId) {
       }
       maybeReapBatchLocked(open.batch);
     } else {
-      // One fire-and-forget kCancelReq releases the waiter entry (still
+      // One fire-and-forget kReleaseReq releases the waiter entry (still
       // pending) or the delivered reference, so an opened-never-read
       // file pins nothing either.
       handle = std::move(open.own);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -172,7 +173,7 @@ TEST_F(SocketDaemonTest, StatusRequestReportsCounters) {
 }
 
 TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
-  // A client may stream kHello and kOpenReq in one burst without waiting
+  // A client may stream kHello and kOpenBatchReq in one burst without waiting
   // for kHelloAck; the daemon must serve both, in order, on the context's
   // shard (the seed's synchronous handler guaranteed this too).
   auto conn = msg::unixSocketConnect(path_);
@@ -192,7 +193,7 @@ TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
   hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kAnalysis);
   ASSERT_TRUE((*conn)->send(hello).isOk());
   msg::Message open;
-  open.type = msg::MsgType::kOpenReq;
+  open.type = msg::MsgType::kOpenBatchReq;
   open.requestId = 2;
   open.files = {"out_0000000001.snc"};
   ASSERT_TRUE((*conn)->send(open).isOk());
@@ -203,9 +204,138 @@ TEST_F(SocketDaemonTest, PipelinedHelloThenOpenIsServedInOrder) {
   }
   EXPECT_EQ(replies[0].type, msg::MsgType::kHelloAck);
   EXPECT_EQ(replies[0].code, 0);
-  EXPECT_EQ(replies[1].type, msg::MsgType::kOpenAck);
+  EXPECT_EQ(replies[1].type, msg::MsgType::kOpenBatchAck);
   EXPECT_EQ(replies[1].code, 0) << replies[1].text;
   (*conn)->close();
+}
+
+/// A raw protocol connection: sends hand-built frames and waits for the
+/// reply carrying a given requestId.
+class RawConn {
+ public:
+  explicit RawConn(const std::string& path) {
+    auto t = msg::unixSocketConnect(path);
+    if (!t.isOk()) {
+      ADD_FAILURE() << t.status().toString();
+      return;
+    }
+    t_ = std::move(*t);
+    t_->setHandler([this](msg::Message&& m) {
+      std::lock_guard lock(mu_);
+      replies_.push_back(std::move(m));
+      cv_.notify_all();
+    });
+  }
+  ~RawConn() {
+    if (t_) t_->close();
+  }
+
+  /// Sends `m` and returns its reply; a reply that never arrives (within
+  /// five seconds) reads as kError/kUnavailable.
+  msg::Message call(const msg::Message& m) {
+    msg::Message none;
+    none.code = static_cast<std::int32_t>(StatusCode::kUnavailable);
+    if (!t_ || !t_->send(m).isOk()) return none;
+    const auto byId = [id = m.requestId](const msg::Message& r) {
+      return r.requestId == id;
+    };
+    std::unique_lock lock(mu_);
+    if (!cv_.wait_for(lock, std::chrono::seconds(5), [&] {
+          return std::any_of(replies_.begin(), replies_.end(), byId);
+        })) {
+      return none;
+    }
+    return *std::find_if(replies_.begin(), replies_.end(), byId);
+  }
+
+ private:
+  std::unique_ptr<msg::Transport> t_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<msg::Message> replies_;
+};
+
+msg::Message helloOf(msg::ClientRole role, std::vector<std::int64_t> offer) {
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.requestId = 1;
+  hello.context = "sock";
+  hello.intArg = static_cast<std::int64_t>(role);
+  hello.intArg2 = msg::kHelloCapVersion;
+  hello.ints = std::move(offer);
+  return hello;
+}
+
+TEST_F(SocketDaemonTest, SimulatorAndAnalysisHellosNegotiateTheSameVersion) {
+  // One version pick serves both roles: the same offer must get the same
+  // answer whether a simulator or an analysis sends it. A one-element
+  // offer {v} means [v, v]; no offer means a version-1-only client.
+  const std::vector<std::vector<std::int64_t>> offers = {
+      {}, {1}, {2}, {1, 2}, {2, 2}, {1, 1}, {1, 9}, {3}, {3, 4}};
+  for (const auto& offer : offers) {
+    RawConn sim(path_);
+    RawConn ana(path_);
+    const auto simAck = sim.call(helloOf(msg::ClientRole::kSimulator, offer));
+    const auto anaAck = ana.call(helloOf(msg::ClientRole::kAnalysis, offer));
+    ASSERT_EQ(simAck.type, msg::MsgType::kHelloAck);
+    ASSERT_EQ(anaAck.type, msg::MsgType::kHelloAck);
+    EXPECT_EQ(simAck.code, anaAck.code) << "offer size " << offer.size();
+    EXPECT_EQ(simAck.ints, anaAck.ints) << "offer size " << offer.size();
+  }
+  // Spot-check the answers themselves.
+  RawConn a(path_);
+  EXPECT_EQ(a.call(helloOf(msg::ClientRole::kSimulator, {2})).ints,
+            (std::vector<std::int64_t>{2}));
+  RawConn b(path_);
+  EXPECT_EQ(b.call(helloOf(msg::ClientRole::kAnalysis, {1})).ints,
+            (std::vector<std::int64_t>{1}));
+  RawConn c(path_);
+  EXPECT_EQ(static_cast<StatusCode>(
+                c.call(helloOf(msg::ClientRole::kSimulator, {3})).code),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(SocketDaemonTest, RetiredMessageTypeGetsErrorAndChangesNothing) {
+  // Type 3 was the per-file open. A frame still carrying it must be
+  // answered with kError and must neither register nor release anything.
+  const std::string file = "out_0000000001.snc";
+  RawConn conn(path_);
+  msg::Message hello = helloOf(msg::ClientRole::kAnalysis, {1, 2});
+  ASSERT_EQ(conn.call(hello).code, 0);
+  msg::Message open;
+  open.type = msg::MsgType::kOpenBatchReq;
+  open.requestId = 2;
+  open.files = {file};
+  ASSERT_EQ(conn.call(open).code, 0);
+
+  const DvStats before = daemon_->stats();
+  msg::Message retired;
+  retired.type = static_cast<msg::MsgType>(3);
+  retired.requestId = 3;
+  retired.files = {file};
+  const auto reply = conn.call(retired);
+  EXPECT_EQ(reply.type, msg::MsgType::kError);
+  EXPECT_NE(reply.code, 0);
+  const DvStats after = daemon_->stats();
+  EXPECT_EQ(after.opens, before.opens);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+
+  // The open's one registration is still there, exactly once: the first
+  // release frees it, the second finds nothing.
+  msg::Message release;
+  release.type = msg::MsgType::kReleaseReq;
+  release.requestId = 4;
+  release.files = {file};
+  const auto first = conn.call(release);
+  EXPECT_EQ(first.type, msg::MsgType::kReleaseAck);
+  EXPECT_EQ(first.code, 0) << first.text;
+  EXPECT_EQ(first.intArg, 1);
+  release.requestId = 5;
+  const auto second = conn.call(release);
+  EXPECT_EQ(static_cast<StatusCode>(second.code),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(second.intArg, 0);
 }
 
 TEST_F(SocketDaemonTest, ShardStatsReportPerShardCounters) {
@@ -400,7 +530,7 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
 
   // Open a missing step: the worker dives into launch() and stays there.
   msg::Message open;
-  open.type = msg::MsgType::kOpenReq;
+  open.type = msg::MsgType::kOpenBatchReq;
   open.requestId = 2;
   open.files = {cfg.codec.outputFile(0)};
   ASSERT_TRUE(conn->send(open).isOk());
@@ -420,13 +550,25 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
     std::lock_guard lock(mu);
     const msg::Message* shedReply = replyFor(4);
     ASSERT_NE(shedReply, nullptr) << "shed reply must not wait for the worker";
-    EXPECT_EQ(shedReply->type, msg::MsgType::kOpenAck);
+    EXPECT_EQ(shedReply->type, msg::MsgType::kOpenBatchAck);
     EXPECT_EQ(static_cast<StatusCode>(shedReply->code),
               StatusCode::kUnavailable);
     EXPECT_EQ(replyFor(3), nullptr) << "within-cap request must not be shed";
   }
 
-  // Unblock: the queued (not shed) request is then served normally.
+  // A release past the cap is queued, not shed, acked or not: it frees a
+  // registration, and shedding it would leave the step pinned.
+  msg::Message release;
+  release.type = msg::MsgType::kReleaseReq;
+  release.requestId = 5;
+  release.files = open.files;
+  ASSERT_TRUE(conn->send(release).isOk());
+  {
+    std::lock_guard lock(mu);
+    EXPECT_EQ(replyFor(5), nullptr) << "a release must wait for the worker";
+  }
+
+  // Unblock: the queued (not shed) requests are then served normally.
   {
     std::lock_guard lock(launcher.mutex);
     launcher.release = true;
@@ -435,10 +577,16 @@ TEST(DaemonBackpressureTest, ShedsClientRequestsOverQueueCap) {
   {
     std::unique_lock lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] {
-      return replyFor(2) != nullptr && replyFor(3) != nullptr;
+      return replyFor(2) != nullptr && replyFor(3) != nullptr &&
+             replyFor(5) != nullptr;
     }));
     EXPECT_EQ(static_cast<StatusCode>(replyFor(2)->code), StatusCode::kOk);
     EXPECT_EQ(static_cast<StatusCode>(replyFor(3)->code), StatusCode::kOk);
+    // Served after both opens: it drops one of their two waiter entries.
+    EXPECT_EQ(replyFor(5)->type, msg::MsgType::kReleaseAck);
+    EXPECT_EQ(static_cast<StatusCode>(replyFor(5)->code), StatusCode::kOk)
+        << replyFor(5)->text;
+    EXPECT_EQ(replyFor(5)->intArg, 1);
   }
   // (Read only after the worker released the shard lock: shardCounters
   // briefly takes every shard mutex.)

@@ -39,6 +39,12 @@ class CountingTransport final : public msg::Transport {
       const auto it = sent.find(t);
       return it == sent.end() ? 0 : it->second;
     }
+    int total() {
+      std::lock_guard lock(mu);
+      int n = 0;
+      for (const auto& [type, count] : sent) n += count;
+      return n;
+    }
   };
 
   CountingTransport(std::unique_ptr<msg::Transport> inner,
@@ -250,8 +256,8 @@ TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitIndexBlocks) {
 
 TEST_F(LiveStackTest, VectoredAcquireIsOneRoundTrip) {
   // The acceptance contract of the session redesign: a 64-file acquire
-  // puts exactly ONE kOpenBatchReq on the wire — no per-file kOpenReq
-  // round trips.
+  // puts exactly ONE kOpenBatchReq on the wire — no per-file round trips,
+  // and no other op besides the hello.
   auto counters = std::make_shared<CountingTransport::Counters>();
   auto transport = std::make_unique<CountingTransport>(
       daemon_->connectInProc(), counters);
@@ -267,8 +273,7 @@ TEST_F(LiveStackTest, VectoredAcquireIsOneRoundTrip) {
   for (const auto& f : files) EXPECT_TRUE(store_.exists(f));
 
   EXPECT_EQ(counters->of(msg::MsgType::kOpenBatchReq), 1);
-  EXPECT_EQ(counters->of(msg::MsgType::kOpenReq), 0);
-  EXPECT_EQ(counters->of(msg::MsgType::kAcquireReq), 0);
+  EXPECT_EQ(counters->total() - counters->of(msg::MsgType::kHello), 1);
 
   for (const auto& f : files) ASSERT_TRUE((*client)->release(f).isOk());
   (*client)->finalize();
@@ -798,8 +803,9 @@ TEST(SessionRetryTest, ShedBeyondBudgetCompletesUnreachable) {
 /// Per-endpoint traffic record of a scripted federation node.
 struct ScriptedNode {
   std::atomic<int> batches{0};
-  std::atomic<int> cancels{0};
-  std::atomic<int> releases{0};
+  std::atomic<int> cancels{0};        ///< fire-and-forget kReleaseReqs
+  std::atomic<int> cancelledFiles{0}; ///< file entries across those
+  std::atomic<int> releases{0};       ///< acked kReleaseReqs
   std::atomic<std::uint64_t> lastBatchId{0};
   std::atomic<bool> replicaCapSeen{false};
 };
@@ -909,16 +915,19 @@ struct ScriptedFederation {
                 break;
               }
               case msg::MsgType::kReleaseReq: {
+                if (m.requestId == 0) {
+                  // Fire-and-forget (cancel, transparent close): no reply.
+                  ++node->cancels;
+                  node->cancelledFiles += static_cast<int>(m.files.size());
+                  break;
+                }
                 ++node->releases;
                 reply.type = msg::MsgType::kReleaseAck;
                 (void)raw->send(reply);
                 break;
               }
-              case msg::MsgType::kCancelReq:
-                ++node->cancels;  // fire-and-forget: no reply
-                break;
               default:
-                break;  // closeNotify and friends need no answer
+                break;
             }
           });
           std::lock_guard lock(mu);
@@ -985,6 +994,54 @@ TEST(ReplicaSpreadTest, LeasedVectoredAcquireIsOneRequestToOneEndpoint) {
   EXPECT_EQ(serving->releases.load(), 1);
   EXPECT_EQ(owner.releases.load(), 0);
   session->finalize();
+}
+
+TEST(ReplicaSpreadTest, ReplicaServedTransparentCloseReleasesOnTheReplica) {
+  ScriptedFederation fed;
+  auto connected = SimFSClient::connect(fed.router(), "live");
+  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
+  SimFSClient& client = **connected;
+  SimfsStatus status;
+  ASSERT_TRUE(client.session()->acquire({"prime.snc"}, &status).isOk())
+      << status.error.toString();
+  ASSERT_TRUE(
+      spinUntil([&] { return client.session()->replicaEndpoints() == 2; }))
+      << "replica links never came up";
+
+  // The intercepted open/read/close of one file: with the owner loaded,
+  // the batch of one lands on a replica and completes there.
+  const std::string file = "closed.snc";
+  vfs::MemFileStore store;
+  ASSERT_TRUE(store.put(file, encodeField(std::vector<double>{1.0})).isOk());
+  auto& io = IoDispatch::instance();
+  io.installAnalysis(&client, &store);
+  const auto h = io.openForRead(file);
+  ASSERT_TRUE(h.isOk()) << h.status().toString();
+  ASSERT_TRUE(io.readAll(*h).isOk());
+  ASSERT_TRUE(io.close(*h).isOk());
+  io.reset();
+
+  ScriptedNode& owner = fed.at(fed.ownerId);
+  ScriptedNode* serving = nullptr;
+  for (auto& [ep, node] : fed.nodes) {
+    if (&node != &owner && node.batches.load() > 0) serving = &node;
+  }
+  ASSERT_NE(serving, nullptr) << "the open must be served by a replica";
+  // The close released on the replica that holds the reference: one
+  // fire-and-forget kReleaseReq carrying the one file.
+  ASSERT_TRUE(spinUntil([&] { return serving->cancels.load() == 1; }));
+  EXPECT_EQ(serving->cancelledFiles.load(), 1);
+
+  // The close also dropped the session's record of that replica
+  // reference: a later by-name release goes to the owner, not the
+  // replica. Its round trip also flushes anything the close might have
+  // sent the owner first — and it sent nothing.
+  EXPECT_TRUE(client.release(file).isOk());
+  EXPECT_EQ(owner.releases.load(), 1);
+  EXPECT_EQ(owner.cancels.load(), 0);
+  EXPECT_EQ(serving->releases.load(), 0);
+  EXPECT_EQ(serving->cancels.load(), 1);
+  client.finalize();
 }
 
 TEST(ReplicaSpreadTest, RevokedLeaseMidFlightRetriesOnOwner) {

@@ -10,6 +10,7 @@
 #include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace simfs::msg {
@@ -17,7 +18,7 @@ namespace {
 
 Message sampleMessage() {
   Message m;
-  m.type = MsgType::kAcquireReq;
+  m.type = MsgType::kOpenBatchReq;
   m.requestId = 77;
   m.context = "cosmo-5min";
   m.files = {"out_0000000001.snc", "out_0000000002.snc"};
@@ -44,7 +45,7 @@ TEST(MessageCodecTest, EmptyFieldsRoundTrip) {
 
 TEST(MessageCodecTest, NegativeIntArgSurvives) {
   Message m;
-  m.type = MsgType::kOpenAck;
+  m.type = MsgType::kOpenBatchAck;
   m.intArg = -42;
   m.code = -7;
   const auto decoded = decode(encode(m));
@@ -322,7 +323,7 @@ TEST(MessageCodecTest, LegacyRedirectIsBytePinned) {
   EXPECT_EQ(decoded->intArg2, 0);
 }
 
-// --- vectored session ops (kOpenBatchReq/Ack, kCancelReq/Ack) ---------------
+// --- the interest and release ops (kOpenBatchReq/Ack, kReleaseReq/Ack) -------
 
 Message sampleOpenBatchAck() {
   Message m;
@@ -356,9 +357,9 @@ TEST(MessageCodecTest, OpenBatchRoundTrip) {
   EXPECT_EQ(decodedAck->ints[3], 1500);
 }
 
-TEST(MessageCodecTest, CancelRoundTrip) {
+TEST(MessageCodecTest, ReleaseRoundTrip) {
   Message req;
-  req.type = MsgType::kCancelReq;
+  req.type = MsgType::kReleaseReq;
   req.requestId = 60;
   req.files = {"out_0000000009.snc", "out_0000000010.snc"};
   const auto decoded = decode(encode(req));
@@ -366,7 +367,7 @@ TEST(MessageCodecTest, CancelRoundTrip) {
   EXPECT_EQ(*decoded, req);
 
   Message ack;
-  ack.type = MsgType::kCancelAck;
+  ack.type = MsgType::kReleaseAck;
   ack.requestId = 60;
   ack.intArg = 2;  // registrations freed
   const auto decodedAck = decode(encode(ack));
@@ -478,12 +479,12 @@ TEST(InProcTransportTest, DeliversBothDirections) {
   a->setHandler([&](Message&& m) { atA.push_back(std::move(m)); });
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
   Message reply;
-  reply.type = MsgType::kAcquireAck;
+  reply.type = MsgType::kOpenBatchAck;
   ASSERT_TRUE(b->send(reply).isOk());
   ASSERT_EQ(atB.size(), 1u);
-  EXPECT_EQ(atB[0].type, MsgType::kAcquireReq);
+  EXPECT_EQ(atB[0].type, MsgType::kOpenBatchReq);
   ASSERT_EQ(atA.size(), 1u);
-  EXPECT_EQ(atA[0].type, MsgType::kAcquireAck);
+  EXPECT_EQ(atA[0].type, MsgType::kOpenBatchAck);
 }
 
 TEST(InProcTransportTest, BuffersMessagesSentBeforeHandler) {
@@ -492,14 +493,14 @@ TEST(InProcTransportTest, BuffersMessagesSentBeforeHandler) {
   auto [a, b] = makeInProcPair();
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
   Message second;
-  second.type = MsgType::kOpenReq;
+  second.type = MsgType::kOpenBatchReq;
   second.requestId = 99;
   ASSERT_TRUE(a->send(second).isOk());
   std::vector<Message> atB;
   b->setHandler([&](Message&& m) { atB.push_back(std::move(m)); });
   // Replay happens before setHandler returns, in send order.
   ASSERT_EQ(atB.size(), 2u);
-  EXPECT_EQ(atB[0].type, MsgType::kAcquireReq);
+  EXPECT_EQ(atB[0].type, MsgType::kOpenBatchReq);
   EXPECT_EQ(atB[1].requestId, 99u);
   // Later sends are delivered directly.
   ASSERT_TRUE(a->send(sampleMessage()).isOk());
@@ -533,7 +534,7 @@ TEST_F(UnixSocketTest, RequestReplyOverSocket) {
                     // Echo server: bounce every message back.
                     auto* raw = conn.get();
                     raw->setHandler([raw](Message&& m) {
-                      m.type = MsgType::kAcquireAck;
+                      m.type = MsgType::kOpenBatchAck;
                       (void)raw->send(m);
                     });
                     std::lock_guard lock(mu);
@@ -560,7 +561,7 @@ TEST_F(UnixSocketTest, RequestReplyOverSocket) {
     ASSERT_TRUE(rcv.wait_for(lock, std::chrono::seconds(5),
                              [&] { return !replies.empty(); }));
   }
-  EXPECT_EQ(replies[0].type, MsgType::kAcquireAck);
+  EXPECT_EQ(replies[0].type, MsgType::kOpenBatchAck);
   EXPECT_EQ(replies[0].requestId, 77u);
   EXPECT_EQ(replies[0].files.size(), 2u);
 
@@ -588,7 +589,7 @@ TEST_F(UnixSocketTest, BuffersFramesUntilServerInstallsHandler) {
   ASSERT_TRUE(client.isOk());
   for (int i = 0; i < 3; ++i) {
     Message m;
-    m.type = MsgType::kOpenReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(i);
     ASSERT_TRUE((*client)->send(m).isOk());
   }
@@ -699,7 +700,7 @@ TEST_F(UnixSocketTest, ManyMessagesInOrder) {
   const int n = 200;
   for (int i = 0; i < n; ++i) {
     Message m;
-    m.type = MsgType::kOpenReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(i);
     ASSERT_TRUE((*client)->send(m).isOk());
   }
@@ -875,10 +876,53 @@ TEST(MessageCodecTest, GeometryTypesAppendAfterLegacyOps) {
   // These pins fail loudly if someone reorders the enum.
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kHello), 1);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kOpenBatchReq), 25);
-  EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kCancelReq), 27);
+  EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kPing), 29);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kLeaseAck), 33);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGeometryReq), 34);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kGeometryAck), 35);
+}
+
+TEST(MessageCodecTest, EverySurvivingTypeKeepsItsWireValue) {
+  // Retiring the redundant open/acquire/close/cancel ops left gaps
+  // (3-7, 13-14, 27-28) that must stay unassigned; every surviving type
+  // keeps the number old peers already speak.
+  const std::pair<MsgType, std::uint16_t> pins[] = {
+      {MsgType::kHello, 1},
+      {MsgType::kHelloAck, 2},
+      {MsgType::kReleaseReq, 8},
+      {MsgType::kReleaseAck, 9},
+      {MsgType::kBitrepReq, 10},
+      {MsgType::kBitrepAck, 11},
+      {MsgType::kFileReady, 12},
+      {MsgType::kSimFileClosed, 15},
+      {MsgType::kSimFinished, 16},
+      {MsgType::kStatusReq, 17},
+      {MsgType::kStatusAck, 18},
+      {MsgType::kError, 19},
+      {MsgType::kShardStatsReq, 20},
+      {MsgType::kShardStatsAck, 21},
+      {MsgType::kRedirect, 22},
+      {MsgType::kRingReq, 23},
+      {MsgType::kRingUpdate, 24},
+      {MsgType::kOpenBatchReq, 25},
+      {MsgType::kOpenBatchAck, 26},
+      {MsgType::kPing, 29},
+      {MsgType::kPong, 30},
+      {MsgType::kLeaseGrant, 31},
+      {MsgType::kLeaseRevoke, 32},
+      {MsgType::kLeaseAck, 33},
+      {MsgType::kGeometryReq, 34},
+      {MsgType::kGeometryAck, 35},
+      {MsgType::kRingPropose, 36},
+      {MsgType::kRingProposeAck, 37},
+      {MsgType::kRingCommit, 38},
+      {MsgType::kRingCommitAck, 39},
+      {MsgType::kContextHandoff, 40},
+      {MsgType::kContextHandoffAck, 41},
+  };
+  for (const auto& [type, value] : pins) {
+    EXPECT_EQ(static_cast<std::uint16_t>(type), value) << "pin " << value;
+  }
 }
 
 TEST(MessageCodecTest, ElasticMembershipTypesAppendAfterGeometryOps) {

@@ -296,7 +296,7 @@ TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
                     std::weak_ptr<ServerSession> weak = session;
                     session->transport->setHandler([weak](Message&& e) {
                       if (auto s = weak.lock()) {
-                        e.type = MsgType::kAcquireAck;
+                        e.type = MsgType::kOpenBatchAck;
                         (void)s->transport->send(e);
                       }
                     });
@@ -315,7 +315,7 @@ TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
                 (void)session->transport->send(ack);
                 return;
               }
-              m.type = MsgType::kAcquireAck;
+              m.type = MsgType::kOpenBatchAck;
               (void)session->transport->send(m);
             });
             std::lock_guard lock(mu);
@@ -341,7 +341,7 @@ TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
   constexpr int kFollowUps = 100;
   for (int i = 0; i < kFollowUps; ++i) {
     Message m;
-    m.type = MsgType::kAcquireReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(100 + i);
     m.text = std::string(static_cast<std::size_t>(i) * 11, 'q');
     ASSERT_TRUE((*client)->send(m).isOk());
@@ -371,7 +371,7 @@ TEST_F(ShmNegotiationTest, UpgradesToShmAndEchoesOverRing) {
 
   // Oversized frames ride the chunk path of the same ring.
   Message big;
-  big.type = MsgType::kAcquireReq;
+  big.type = MsgType::kOpenBatchReq;
   big.requestId = 9000;
   big.text = std::string(3u << 20, 'Z');
   ASSERT_TRUE((*client)->send(big).isOk());
@@ -401,7 +401,7 @@ TEST_F(ShmNegotiationTest, OldDaemonAnswerOnSocketSettlesDowngrade) {
                       // Old daemon: echoes without touching intArg2.
                       m.type = m.type == MsgType::kHello
                                    ? MsgType::kHelloAck
-                                   : MsgType::kAcquireAck;
+                                   : MsgType::kOpenBatchAck;
                       m.intArg2 = 0;
                       (void)raw->send(m);
                     });
@@ -423,7 +423,7 @@ TEST_F(ShmNegotiationTest, OldDaemonAnswerOnSocketSettlesDowngrade) {
   ASSERT_TRUE((*client)->send(helloMessage()).isOk());
   for (int i = 0; i < 10; ++i) {
     Message m;
-    m.type = MsgType::kAcquireReq;
+    m.type = MsgType::kOpenBatchReq;
     m.requestId = static_cast<std::uint64_t>(200 + i);
     ASSERT_TRUE((*client)->send(m).isOk());
   }

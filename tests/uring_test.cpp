@@ -50,7 +50,7 @@ class UringTest : public ::testing::Test {
 
 Message request(std::uint64_t id, std::size_t textBytes) {
   Message m;
-  m.type = MsgType::kAcquireReq;
+  m.type = MsgType::kOpenBatchReq;
   m.requestId = id;
   m.context = "cosmo-5min";
   m.text = std::string(textBytes, 'u');
@@ -65,7 +65,7 @@ TEST_F(UringTest, RequestReplyRoundTrip) {
                   .start([&](std::unique_ptr<Transport> conn) {
                     auto* raw = conn.get();
                     raw->setHandler([raw](Message&& m) {
-                      m.type = MsgType::kAcquireAck;
+                      m.type = MsgType::kOpenBatchAck;
                       (void)raw->send(m);
                     });
                     std::lock_guard lock(mu);
@@ -88,7 +88,7 @@ TEST_F(UringTest, RequestReplyRoundTrip) {
     std::unique_lock lock(rmu);
     ASSERT_TRUE(rcv.wait_for(lock, 5s, [&] { return !replies.empty(); }));
   }
-  EXPECT_EQ(replies[0].type, MsgType::kAcquireAck);
+  EXPECT_EQ(replies[0].type, MsgType::kOpenBatchAck);
   EXPECT_EQ(replies[0].requestId, 7u);
   (*client)->close();
   server.stop();

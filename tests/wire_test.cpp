@@ -343,7 +343,7 @@ TEST(BufferPoolTest, ConcurrentAcquireReleaseIsSafe) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&pool, &fail, t] {
       Message m;
-      m.type = MsgType::kOpenReq;
+      m.type = MsgType::kOpenBatchReq;
       m.files = {"out_0000000001.snc"};
       m.intArg = t;
       for (int i = 0; i < 2000; ++i) {
@@ -464,7 +464,7 @@ TEST(ViewHandlerTest, NestedInlineDeliveryKeepsOuterViewValid) {
     // Nested send BEFORE reading the outer view: if deliveries shared one
     // scratch buffer this would corrupt `v`.
     MessageRef nested;
-    nested.type = MsgType::kCancelAck;
+    nested.type = MsgType::kReleaseAck;
     nested.requestId = v.requestId() + 1;
     ASSERT_TRUE(c->send(nested).isOk());
     atB.push_back(v.toMessage());
