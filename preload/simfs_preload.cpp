@@ -10,13 +10,12 @@
 // atomic load for fd calls, then the real libc function (the <5% gate in
 // bench/micro_posix.cpp pins this).
 //
-// SimFS open() is facade-faithful: it registers interest (attaching to a
-// listing's vectored prefetch batch when one covers the file) and
-// returns a placeholder fd immediately; the first read() blocks until
+// SimFS open() is facade-faithful: it registers interest (a batch of one)
+// and returns a placeholder fd immediately; the first read() blocks until
 // the step is resident — transparently waiting out a re-simulation —
 // then dup2()s the real store file over the placeholder so every later
-// read/lseek/mmap-free consumer runs at native speed. close() of a
-// never-read handle cancels the registration instead of leaking it.
+// read/lseek/mmap-free consumer runs at native speed. close() cancels
+// the registration, read or not, so nothing leaks.
 //
 // Known limits (documented in README): writes are EROFS, mmap of a
 // not-yet-materialized fd is unsupported, fcntl(F_DUPFD) of a SimFS fd
@@ -302,8 +301,7 @@ DIR* simfsOpendir(const ParsedPath& p) {
     }
     for (auto& n : *names) dir->names.push_back(std::move(n));
   } else {
-    // Page the synthesized listing; the offset-0 page also fires the
-    // vectored prefetch batch the subsequent opens attach to.
+    // Page the synthesized listing (names only: nothing is registered).
     const std::string ctx(p.context);
     std::int64_t off = 0;
     for (;;) {

@@ -1,11 +1,11 @@
 #include "dvlib/session.hpp"
 
+#include "common/env.hpp"
 #include "common/log.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 
@@ -22,9 +22,6 @@ struct AcquireState {
   std::vector<Status> fileStatus;      ///< per-file outcome (ack / retire)
   std::vector<bool> availableAtAck;    ///< on disk at batch time
   std::vector<VDuration> fileWait;     ///< per-file DV estimate
-  /// Registration already unwound (releaseIndex / cancel): the ack and
-  /// later cancels leave the file alone.
-  std::vector<bool> released;
   /// Awaiting kFileReady; transparent comparator so retirements probe
   /// with the receive view's string_view.
   std::set<std::string, std::less<>> pending;
@@ -36,6 +33,7 @@ struct AcquireState {
   std::shared_ptr<msg::Transport> servedBy;
   bool ack = false;        ///< batch ack processed
   bool completed = false;  ///< terminal; continuations fired
+  /// Registration unwound by cancel(): a late ack leaves the state alone.
   bool cancelled = false;
   std::vector<std::function<void(const Status&)>> continuations;
 };
@@ -43,16 +41,6 @@ struct AcquireState {
 }  // namespace detail
 
 namespace {
-
-/// Integer env knob with a fallback for unset/garbage values.
-std::int64_t envInt(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return fallback;
-  return static_cast<std::int64_t>(parsed);
-}
 
 /// Steady-clock ns for retry due-times (never the DV's virtual clock:
 /// backoff must keep flowing while the daemon is the thing that's down).
@@ -243,15 +231,7 @@ void AcquireHandle::then(std::function<void(const Status&)> fn) {
 
 Status AcquireHandle::cancel() {
   if (!valid()) return errFailedPrecondition("dvlib: empty handle");
-  return session_->handleCancel(state_, Session::kAllFiles);
-}
-
-Status AcquireHandle::releaseIndex(std::size_t index) {
-  if (!valid()) return errFailedPrecondition("dvlib: empty handle");
-  if (index >= state_->files.size()) {
-    return errInvalidArgument("dvlib: release index out of range");
-  }
-  return session_->handleCancel(state_, index);
+  return session_->handleCancel(state_);
 }
 
 Status AcquireHandle::waitIndex(std::size_t index) {
@@ -308,13 +288,17 @@ AcquireHandle::FileProbe AcquireHandle::probe(std::size_t index) const {
 
 Session::Session(std::string context) : context_(std::move(context)) {
   opDeadlineNs_ =
-      std::max<std::int64_t>(0, envInt("SIMFS_OP_DEADLINE_MS", 0)) * 1'000'000;
-  retryBudget_ = static_cast<int>(
-      std::clamp<std::int64_t>(envInt("SIMFS_RETRY_BUDGET", 3), 0, 1000));
-  retryBaseNs_ =
-      std::max<std::int64_t>(1, envInt("SIMFS_RETRY_BASE_MS", 10)) * 1'000'000;
+      std::max<std::int64_t>(
+          0, env::getInt("SIMFS_OP_DEADLINE_MS").value_or(0)) *
+      1'000'000;
+  retryBudget_ = static_cast<int>(std::clamp<std::int64_t>(
+      env::getInt("SIMFS_RETRY_BUDGET").value_or(3), 0, 1000));
+  retryBaseNs_ = std::max<std::int64_t>(
+                     1, env::getInt("SIMFS_RETRY_BASE_MS").value_or(10)) *
+                 1'000'000;
   callTimeoutNs_ =
-      std::max<std::int64_t>(1, envInt("SIMFS_CALL_TIMEOUT_MS", 30'000)) *
+      std::max<std::int64_t>(
+          1, env::getInt("SIMFS_CALL_TIMEOUT_MS").value_or(30'000)) *
       1'000'000;
 }
 
@@ -605,7 +589,6 @@ void Session::failStateLocked(
   if (state->completed) return;
   if (state->worst.isOk()) state->worst = st;
   for (std::size_t i = 0; i < state->files.size(); ++i) {
-    if (state->released[i]) continue;
     if (!state->ack || state->pending.count(state->files[i]) != 0) {
       state->fileStatus[i] = st;
     }
@@ -618,6 +601,9 @@ void Session::failStateLocked(
 void Session::applyBatchAckLocked(detail::AcquireState& state,
                                   const msg::MessageView& m) {
   state.ack = true;
+  // Cancelled before its ack landed: every file already resolved as
+  // cancelled and its release is on the wire behind the batch.
+  if (state.cancelled) return;
   const std::size_t n = state.files.size();
   if (m.type() != msg::MsgType::kOpenBatchAck || m.intCount() != 2 * n) {
     // Error reply (or a malformed ack from a hostile peer): the whole
@@ -638,7 +624,6 @@ void Session::applyBatchAckLocked(detail::AcquireState& state,
     ++it;
     const VDuration wait = *it;
     ++it;
-    if (state.released[i]) continue;  // unwound before its ack landed
     if (packed < 0) {
       state.fileStatus[i] = errInternal("dvlib: bad per-file outcome");
       state.worst = state.fileStatus[i];
@@ -686,15 +671,14 @@ void Session::onMessage(const msg::MessageView& m) {
       const std::string_view file = m.file0();
       const Status ready = statusFromView(m);
       // Retire the file from every live acquire awaiting it; a file no
-      // acquire awaits (cancelled, released) leaves no trace.
+      // acquire awaits (cancelled, say) leaves no trace.
       std::vector<std::shared_ptr<detail::AcquireState>> done;
       for (const auto& state : active_) {
         const auto pit = state->pending.find(file);
         if (pit == state->pending.end()) continue;
         state->pending.erase(pit);
         for (std::size_t i = 0; i < state->files.size(); ++i) {
-          if (state->files[i] == file && !state->availableAtAck[i] &&
-              !state->released[i]) {
+          if (state->files[i] == file && !state->availableAtAck[i]) {
             state->fileStatus[i] = ready;
           }
         }
@@ -1262,7 +1246,6 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
     state->fileStatus.assign(n, Status::ok());
     state->availableAtAck.assign(n, false);
     state->fileWait.assign(n, static_cast<VDuration>(0));
-    state->released.assign(n, false);
     if (n == 0) {  // trivially complete; nothing to put on the wire
       state->ack = true;
       state->completed = true;
@@ -1388,7 +1371,7 @@ Status Session::handleWait(
 }
 
 Status Session::handleCancel(
-    const std::shared_ptr<detail::AcquireState>& state, std::size_t only) {
+    const std::shared_ptr<detail::AcquireState>& state) {
   // Views over the state's own file storage — stable while the caller's
   // handle pins the state — so the cancel is as allocation-free as the
   // acquire it unwinds.
@@ -1400,6 +1383,7 @@ Status Session::handleCancel(
     std::lock_guard lock(mutex_);
     auto& st = *state;
     if (st.cancelled) return Status::ok();  // idempotent
+    st.cancelled = true;
     // Built only when a file or the handle still resolves: a warm
     // acquire/cancel cycle must not allocate the message.
     const auto cancelled = [] {
@@ -1409,8 +1393,6 @@ Status Session::handleCancel(
     // a replica link when the spread sent it there.
     t = st.servedBy ? st.servedBy : transport_;
     for (std::size_t i = 0; i < st.files.size(); ++i) {
-      if ((only != kAllFiles && i != only) || st.released[i]) continue;
-      st.released[i] = true;
       unwind.push_back(st.files[i]);
       // Still unresolved: the file resolves as cancelled.
       if (!st.ack || st.pending.erase(st.files[i]) != 0) {
@@ -1425,17 +1407,10 @@ Status Session::handleCancel(
       if (pos != it->second.end()) it->second.erase(pos);
       if (it->second.empty()) replicaRefs_.erase(it);
     }
-    if (only == kAllFiles) {
-      st.cancelled = true;
-      if (!st.completed) {
-        st.worst = cancelled();
-        st.pending.clear();
-        completeLocked(state, fired);
-      }
-    } else if (st.ack && st.pending.empty()) {
+    if (!st.completed) {
+      st.worst = cancelled();
       completeLocked(state, fired);
     }
-    cv_.notify_all();  // a waitIndex on the released file wakes
   }
   // One wire op frees everything unwound here: waiter entries for steps
   // still pending, references for steps already delivered. Fire-and-

@@ -32,10 +32,7 @@
 //                                never pin cache slots
 //   probe(i)                   — per-file ack outcome (availability,
 //                                status, estimated wait)
-//   waitIndex(i)               — the transparent-mode read's blocking
-//                                point: block until file i alone resolved
-//   releaseIndex(i)            — unwind file i's registration now (one
-//                                kReleaseReq); a later cancel() skips it
+//   waitIndex(i)               — block until file i alone resolved
 //
 // The wire carries exactly two DV ops: kOpenBatchReq registers interest
 // and kReleaseReq drops it. A release always travels to the link the
@@ -50,9 +47,8 @@
 // Everything else is an adapter over this core: Session::acquire (=
 // acquireAsync + wait, unwinding partial registrations on failure),
 // SimFSClient (the paper's SIMFS_* call shapes), the C API, the
-// transparent I/O facades (whose opens pipeline through per-open
-// handles) and the POSIX VFS (whose opens wait on one index of a
-// listing's batch).
+// transparent I/O facades and the POSIX VFS (whose opens each pipeline
+// through a batch-of-one handle, closed by its cancel()).
 //
 // Federation: sessions created from a NodeRouter keep the PR 3 redirect
 // semantics for batched ops. A kRedirect answering an in-flight
@@ -173,13 +169,6 @@ class AcquireHandle {
   /// the handle failed/cancelled — and returns that file's status. The
   /// ack phase is bounded like waitAck(); the re-simulation wait is not.
   [[nodiscard]] Status waitIndex(std::size_t index);
-
-  /// Unwinds file `index`'s registration at the DV now, with one
-  /// fire-and-forget kReleaseReq (waiter entry if still pending, reference
-  /// if delivered). The file resolves kCancelled if it had not yet; a
-  /// later cancel() leaves it out, so its registration is released once.
-  /// Idempotent.
-  [[nodiscard]] Status releaseIndex(std::size_t index);
 
  private:
   friend class Session;
@@ -402,14 +391,10 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] Status handleWait(
       const std::shared_ptr<detail::AcquireState>& state, SimfsStatus* status,
       VDuration timeoutNs);
-  /// handleCancel's `only` for cancel(): every file not yet released.
-  static constexpr std::size_t kAllFiles = static_cast<std::size_t>(-1);
-
-  /// Unwinds file `only`'s registration (releaseIndex), or — kAllFiles —
-  /// cancels the whole acquire. Either way ONE fire-and-forget kReleaseReq
-  /// carries the files unwound; files released before are left out.
+  /// Cancels the whole acquire: ONE fire-and-forget kReleaseReq carries
+  /// every file it registered. Idempotent.
   [[nodiscard]] Status handleCancel(
-      const std::shared_ptr<detail::AcquireState>& state, std::size_t only);
+      const std::shared_ptr<detail::AcquireState>& state);
 
   // --- read-replica spread ----------------------------------------------------
 

@@ -4,17 +4,15 @@
 // It glues three things together:
 //   - namespace synthesis: directory listings and stat geometry rendered
 //     from GeometryClient's TTL-cached context geometry (no daemon round
-//     trip on a warm cache),
-//   - the async Session data path: a directory listing fires ONE vectored
-//     acquireAsync over the listed step window, and every open() inside
-//     that window ATTACHES to the covering batch instead of issuing its
-//     own request — a 64-file `ls` + read pipeline costs exactly one
-//     kOpenBatchReq,
+//     trip on a warm cache). A listing is names only: it dials no session
+//     and registers no interest, so an `ls` re-simulates nothing and
+//     shows the DV's prefetch agent no access nobody made,
+//   - the async Session data path: every open() is its own batch of one
+//     (one kOpenBatchReq), so the DV sees exactly the opens the tool makes,
 //   - facade-equivalent blocking semantics: open() registers interest
 //     without blocking, waitReady() blocks on re-simulation exactly like
-//     an intercepted read (the open's index of its batch, via
-//     AcquireHandle::waitIndex), and close() releases the registration —
-//     a batch index's once, when the last open attached to it closes.
+//     an intercepted read, and close() cancels the open's handle — one
+//     release of its registration, read or not.
 //
 // Bytes are NOT proxied through this class: once waitReady() returns OK
 // the output step is resident in the context's store and the adapter
@@ -55,9 +53,6 @@ class PosixVfs {
         const std::string& context)>
         connect;
     GeometryClient::Options geometry = GeometryClient::defaultOptions();
-    /// Upper bound on the step window one directory listing prefetches
-    /// as a single vectored acquire (SIMFS_POSIX_BATCH env override).
-    std::size_t readdirBatchMax = 64;
   };
 
   /// Options wired to a daemon Unix socket for both planes.
@@ -94,16 +89,14 @@ class PosixVfs {
   [[nodiscard]] Result<Attr> getattr(const ParsedPath& path);
 
   /// One page of a context's synthesized listing, names ascending by
-  /// step. A page starting at offset 0 also fires the vectored prefetch
-  /// batch over the first readdirBatchMax steps (one kOpenBatchReq);
-  /// later pages never re-fire it.
+  /// step. Names only: no session, no DV registration.
   [[nodiscard]] Result<DirPage> readdir(const std::string& context,
                                         std::int64_t offset,
                                         std::size_t limit);
 
-  /// Registers interest in one output step (facade open semantics: no
-  /// blocking — on a miss the DV starts re-simulating). Attaches to the
-  /// covering readdir batch when one exists, else issues a batch of one.
+  /// Registers interest in one output step as a batch of one (facade
+  /// open semantics: no blocking — on a miss the DV starts
+  /// re-simulating).
   [[nodiscard]] Result<OpenedFile> open(const std::string& context,
                                         const std::string& file);
 
@@ -111,54 +104,22 @@ class PosixVfs {
   /// transparent re-simulation wait). Idempotent.
   [[nodiscard]] Status waitReady(std::int64_t openId);
 
-  /// Releases the handle. An own batch of one is cancelled (waiter entry
-  /// or reference, whichever it holds). An attached open only detaches:
-  /// the batch index's single registration is released when the LAST
-  /// open attached to it closes, so sibling waits are never orphaned.
-  /// A later open of that file takes its own batch of one.
+  /// Cancels the open's handle: one fire-and-forget release of whatever
+  /// it registered (waiter entry or reference), read or not.
   void close(std::int64_t openId);
 
   [[nodiscard]] GeometryClient& geometry() noexcept { return geometry_; }
 
  private:
-  /// One readdir-driven vectored prefetch over a step window.
-  struct Batch {
-    /// Per handle index: opens attached to it, and whether its
-    /// registration was released (its last attached open closed).
-    struct Slot {
-      int users = 0;
-      bool released = false;
-    };
-    dvlib::AcquireHandle handle;
-    std::map<std::string, std::size_t> index;  ///< file -> handle index
-    std::vector<Slot> slots;
-    bool doomed = false;  ///< superseded; cancel once no open is attached
-  };
-
-  struct CtxState {
-    std::shared_ptr<dvlib::Session> session;
-    std::shared_ptr<Batch> batch;  ///< current listing coverage
-  };
-
-  struct Open {
-    dvlib::AcquireHandle own;      ///< batch of one (when not covered)
-    std::shared_ptr<Batch> batch;  ///< covering batch (when covered)
-    std::size_t batchIndex = 0;
-  };
-
   /// Session for `context`, dialed on first use. Caller holds mutex_.
   Result<std::shared_ptr<dvlib::Session>> sessionForLocked(
       const std::string& context);
 
-  /// Cancels `batch` (every index not yet released) if doomed and no
-  /// open is attached anymore. Caller holds mutex_.
-  void maybeReapBatchLocked(const std::shared_ptr<Batch>& batch);
-
   Options options_;
   GeometryClient geometry_;
   std::mutex mutex_;
-  std::map<std::string, CtxState> contexts_;
-  std::map<std::int64_t, Open> opens_;
+  std::map<std::string, std::shared_ptr<dvlib::Session>> sessions_;
+  std::map<std::int64_t, dvlib::AcquireHandle> opens_;  ///< batch of one each
   std::int64_t nextOpenId_ = 1;
 };
 

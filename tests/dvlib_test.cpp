@@ -808,6 +808,7 @@ struct ScriptedNode {
   std::atomic<int> releases{0};       ///< acked kReleaseReqs
   std::atomic<std::uint64_t> lastBatchId{0};
   std::atomic<bool> replicaCapSeen{false};
+  std::atomic<int> sessionHellos{0};  ///< hellos without the replica cap
 };
 
 /// A three-node federation where every endpoint is a scripted in-proc
@@ -818,6 +819,8 @@ struct ScriptedNode {
 /// session's power-of-two-choices picker deterministically prefers a
 /// replica once the links are up. Replicas ack everything resident, or
 /// answer whole-batch kNotLeased when `replicasAnswerNotLeased` is set.
+/// With `ownerHoldsBatches` set, the owner answers no batch until
+/// redirectHeld() bounces them all to another node.
 struct ScriptedFederation {
   static constexpr std::int64_t kOwnerWait = 50'000'000;  // 50 ms
 
@@ -827,6 +830,9 @@ struct ScriptedFederation {
   std::vector<std::unique_ptr<msg::Transport>> serverEnds;
   std::mutex mu;
   std::atomic<bool> replicasAnswerNotLeased{false};
+  std::atomic<bool> ownerHoldsBatches{false};
+  /// Batches the owner holds unanswered: the link and the requestId.
+  std::vector<std::pair<msg::Transport*, std::uint64_t>> held;  // under mu
 
   ScriptedFederation()
       : ring(cluster::Ring::make(
@@ -863,6 +869,8 @@ struct ScriptedFederation {
               case msg::MsgType::kHello: {
                 if ((m.intArg2 & msg::kHelloCapReplica) != 0) {
                   node->replicaCapSeen = true;
+                } else {
+                  ++node->sessionHellos;
                 }
                 if (isOwner) {
                   msg::Message push;
@@ -881,6 +889,11 @@ struct ScriptedFederation {
               case msg::MsgType::kOpenBatchReq: {
                 ++node->batches;
                 node->lastBatchId = m.requestId;
+                if (isOwner && ownerHoldsBatches) {
+                  std::lock_guard lock(mu);
+                  held.emplace_back(raw, m.requestId);
+                  break;
+                }
                 reply.type = msg::MsgType::kOpenBatchAck;
                 if (!isOwner && replicasAnswerNotLeased) {
                   reply.code =
@@ -934,6 +947,28 @@ struct ScriptedFederation {
           serverEnds.push_back(std::move(serverEnd));
           return std::move(clientEnd);
         });
+  }
+
+  std::size_t heldCount() {
+    std::lock_guard lock(mu);
+    return held.size();
+  }
+
+  /// Answers every held batch with a kRedirect naming `targetNode` as the
+  /// context's new owner.
+  void redirectHeld(const std::string& targetNode) {
+    std::vector<std::pair<msg::Transport*, std::uint64_t>> out;
+    {
+      std::lock_guard lock(mu);
+      out.swap(held);
+    }
+    for (const auto& [link, requestId] : out) {
+      msg::Message redirect;
+      redirect.type = msg::MsgType::kRedirect;
+      redirect.requestId = requestId;
+      redirect.text = targetNode;
+      (void)link->send(redirect);
+    }
   }
 };
 
@@ -1082,6 +1117,37 @@ TEST(ReplicaSpreadTest, RevokedLeaseMidFlightRetriesOnOwner) {
   EXPECT_NE(bounced->lastBatchId.load(), 0u);
   EXPECT_EQ(owner.lastBatchId.load(), bounced->lastBatchId.load());
   session->finalize();
+}
+
+TEST(RedirectResendTest, BatchCancelledBeforeItsAckIsNotResentOnTheNewOwner) {
+  ScriptedFederation fed;
+  fed.ownerHoldsBatches = true;
+  auto connected = Session::connect(fed.router(), "live");
+  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
+  std::shared_ptr<Session> session = std::move(*connected);
+
+  // The batch reaches the owner, which holds its ack; the caller
+  // abandons it first. The release goes where the batch registered.
+  auto handle = session->acquireAsync({"moved.snc"});
+  ASSERT_TRUE(spinUntil([&] { return fed.heldCount() == 1; }));
+  ASSERT_TRUE(handle.cancel().isOk());
+  ScriptedNode& owner = fed.at(fed.ownerId);
+  EXPECT_EQ(owner.cancels.load(), 1);
+  EXPECT_EQ(owner.cancelledFiles.load(), 1);
+
+  // Then the owner answers kRedirect: the session rebinds to the new
+  // owner, which must not see the abandoned batch re-registered.
+  std::string target;
+  for (const auto& n : fed.ring.nodes()) {
+    if (n.id != fed.ownerId) target = n.id;
+  }
+  fed.redirectHeld(target);
+  ScriptedNode& moved = fed.at(target);
+  ASSERT_TRUE(spinUntil([&] { return moved.sessionHellos.load() == 1; }))
+      << "the redirect never rebound the session";
+  session->finalize();  // joins the recovery thread: the rebind is done
+  EXPECT_EQ(moved.batches.load(), 0);
+  EXPECT_EQ(handle.wait().code(), StatusCode::kCancelled);
 }
 
 TEST(DeadlineReapTest, ServerReapsExpiredWaitersWithTimedOut) {

@@ -1,6 +1,6 @@
 // POSIX frontend tests: path classification, geometry wire hardening,
-// the TTL cache, the PosixVfs batch/attach/cancel lifecycle over a live
-// daemon, and the preload shim's fd table.
+// the TTL cache, the PosixVfs listing and open/wait/close lifecycle over
+// a live daemon, and the preload shim's fd table.
 #include "dv/daemon.hpp"
 #include "dvlib/iolib.hpp"
 #include "dvlib/simfs_client.hpp"
@@ -226,8 +226,8 @@ TEST(GeometryClientTest, ZeroTtlRefetchesEveryLookup) {
 // ------------------------------------------------------------- live vfs
 
 /// Pass-through transport wrapper counting outbound messages by type —
-/// pins the one-kOpenBatchReq contract of the listing prefetch — and the
-/// release entries (kReleaseReq files) put on the wire per file.
+/// pins that a listing sends nothing and an open one kOpenBatchReq — and
+/// the release entries (kReleaseReq files) put on the wire per file.
 class CountingTransport final : public msg::Transport {
  public:
   struct Counters {
@@ -358,7 +358,7 @@ class PosixVfsTest : public ::testing::Test {
     daemon_.reset();
   }
 
-  void makeVfs(std::size_t batchMax = 64) {
+  void makeVfs() {
     PosixVfs::Options opts;
     opts.geometryCall = [this](const msg::Message& req) {
       return inprocGeometryCall(*daemon_, req);
@@ -369,7 +369,6 @@ class PosixVfsTest : public ::testing::Test {
           daemon_->connectInProc(), counters_);
       return t;
     };
-    opts.readdirBatchMax = batchMax;
     vfs_ = std::make_unique<PosixVfs>(std::move(opts));
   }
 
@@ -425,9 +424,9 @@ TEST_F(PosixVfsTest, SynthesizesAttrsAndListings) {
   EXPECT_EQ(vfs_->geometry().fetches(), 3u);
 }
 
-TEST_F(PosixVfsTest, ListingPlusEveryReadIsOneBatchRequest) {
+TEST_F(PosixVfsTest, ListingDialsNoSessionAndRegistersNothing) {
   makeVfs();
-  // `ls`: page the whole listing.
+  // `ls` of a cold context: page the whole listing.
   std::vector<std::string> names;
   std::int64_t off = 0;
   for (;;) {
@@ -439,39 +438,20 @@ TEST_F(PosixVfsTest, ListingPlusEveryReadIsOneBatchRequest) {
   }
   ASSERT_EQ(names.size(), 64u);
 
-  // Read everything: each open attaches to the listing's prefetch batch,
-  // each waitReady blocks until the (cold) step was re-simulated.
-  std::vector<std::int64_t> ids;
-  for (const auto& name : names) {
-    const auto opened = vfs_->open("posix", name);
-    ASSERT_TRUE(opened.isOk()) << name << ": " << opened.status().toString();
-    ids.push_back(opened->id);
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ASSERT_TRUE(vfs_->waitReady(ids[i]).isOk()) << names[i];
-    const auto bytes = store_.read(names[i]);
-    ASSERT_TRUE(bytes.isOk()) << names[i];
-    EXPECT_FALSE(bytes->empty()) << names[i];
-  }
-  for (const auto id : ids) vfs_->close(id);
-
-  // THE tentpole pin: 64 filenames listed and read cost ONE vectored
-  // open request on the wire.
-  // Besides the hello, the geometry lookups and the closes' releases,
-  // that batch is the only frame the client sent.
-  EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), 1);
-  EXPECT_EQ(counters_->total() - counters_->of(msg::MsgType::kHello) -
-                counters_->of(msg::MsgType::kGeometryReq) -
-                counters_->of(msg::MsgType::kReleaseReq),
-            1);
+  // A listing is names only: no hello, no kOpenBatchReq on the data
+  // plane, so the DV saw no open and re-simulated nothing.
+  EXPECT_EQ(counters_->total(), 0);
+  const auto stats = daemon_->stats();
+  EXPECT_EQ(stats.opens, 0u);
+  EXPECT_EQ(stats.jobsLaunched, 0u);
 }
 
 TEST_F(PosixVfsTest, ColdOpenMatchesFacadeBytes) {
   makeVfs();
   const std::string name = cfg_.codec.outputFile(42);
 
-  // POSIX path: open without a covering listing -> batch of one; the
-  // ready-wait rides out the re-simulation.
+  // POSIX path: the open is a batch of one; the ready-wait rides out the
+  // re-simulation.
   const auto opened = vfs_->open("posix", name);
   ASSERT_TRUE(opened.isOk());
   EXPECT_EQ(opened->size, 64u);
@@ -522,14 +502,14 @@ TEST_F(PosixVfsTest, ReopenOfAReadAndClosedListedStepCompletes) {
   makeVfs();
   ASSERT_TRUE(vfs_->readdir("posix", 0, 64).isOk());
   const std::string name = cfg_.codec.outputFile(5);
-  const auto first = vfs_->open("posix", name);  // attaches to the listing
+  const auto first = vfs_->open("posix", name);
   ASSERT_TRUE(first.isOk());
   withWatchdog(std::chrono::seconds(3), "first waitReady", [&] {
     EXPECT_TRUE(vfs_->waitReady(first->id).isOk());
   });
-  vfs_->close(first->id);  // releases the listing index's registration
+  vfs_->close(first->id);  // cancels its batch of one
 
-  // The re-open takes a batch of one of its own and must complete.
+  // The re-open is a batch of one of its own and must complete.
   const auto again = vfs_->open("posix", name);
   ASSERT_TRUE(again.isOk());
   withWatchdog(std::chrono::seconds(3), "re-open waitReady", [&] {
@@ -541,7 +521,7 @@ TEST_F(PosixVfsTest, ReopenOfAReadAndClosedListedStepCompletes) {
   EXPECT_EQ(counters_->releasesOf(name), 2);  // one per registration
 }
 
-TEST_F(PosixVfsTest, AttachedOpensReleaseTheirListingEntryOnce) {
+TEST_F(PosixVfsTest, EveryOpenOfAListedStepIsOneBatchAndOneRelease) {
   makeVfs();
   ASSERT_TRUE(vfs_->readdir("posix", 0, 64).isOk());
   const std::string name = cfg_.codec.outputFile(9);
@@ -552,27 +532,28 @@ TEST_F(PosixVfsTest, AttachedOpensReleaseTheirListingEntryOnce) {
     ASSERT_TRUE(opened.isOk());
     ids.push_back(opened->id);
   }
-  // The first open closes before any sibling read: their waits must not
-  // be orphaned by it.
+  // The first open closes before any sibling read: its release is its
+  // own and must not orphan their waits.
   withWatchdog(std::chrono::seconds(3), "first waitReady", [&] {
     EXPECT_TRUE(vfs_->waitReady(ids[0]).isOk());
   });
   vfs_->close(ids[0]);
-  EXPECT_EQ(counters_->releasesOf(name), 0);  // siblings still attached
+  EXPECT_EQ(counters_->releasesOf(name), 1);
   for (int i = 1; i < kOpens; ++i) {
     withWatchdog(std::chrono::seconds(3), "sibling waitReady", [&] {
       EXPECT_TRUE(vfs_->waitReady(ids[i]).isOk());
     });
     vfs_->close(ids[i]);
   }
-  EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), 1);
-  EXPECT_EQ(counters_->releasesOf(name), 1);  // the last close released it
+  EXPECT_EQ(counters_->of(msg::MsgType::kOpenBatchReq), kOpens);
+  EXPECT_EQ(counters_->releasesOf(name), kOpens);
 
-  // Tearing the listing down cancels every other entry, and leaves the
-  // released one out.
+  // Every registration was released by its close: teardown adds no
+  // release, and the listing registered nothing to unwind.
   vfs_.reset();
-  EXPECT_EQ(counters_->releasesOf(name), 1);
-  EXPECT_EQ(counters_->releasesOf(cfg_.codec.outputFile(10)), 1);
+  EXPECT_EQ(counters_->of(msg::MsgType::kReleaseReq), kOpens);
+  EXPECT_EQ(counters_->releasesOf(name), kOpens);
+  EXPECT_EQ(counters_->releasesOf(cfg_.codec.outputFile(10)), 0);
 }
 
 TEST_F(PosixVfsTest, HostileGeometryFailsCleanly) {
