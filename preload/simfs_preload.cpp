@@ -101,8 +101,19 @@ Shim& shim() {
   return *s;
 }
 
+/// True for a NULL path. glibc declares the path parameters `nonnull`,
+/// so the compiler folds a plain `path == nullptr` inside an interposer
+/// to false, and a NULL path would crash in the shim instead of reaching
+/// libc. The empty asm hides the pointer's origin and keeps the check;
+/// a NULL path always takes the passthrough to the real call.
+bool nullPath(const char* path) {
+  asm("" : "+r"(path));
+  return path == nullptr;
+}
+
 /// The ONE prefix comparison every path-taking call pays.
 bool classify(const char* path, ParsedPath* out) {
+  if (nullPath(path)) return false;
   std::string_view rest;
   if (!shim().classifier.match(path, &rest)) return false;
   *out = parsePosixPath(rest);
@@ -386,11 +397,11 @@ int openat(int dirfd, const char* path, int flags, ...) {
     va_end(ap);
   }
   ParsedPath p;
-  if (path != nullptr && path[0] == '/' && classify(path, &p)) {
+  if (!nullPath(path) && path[0] == '/' && classify(path, &p)) {
     return simfsOpen(p, flags);
   }
   if (const FdEntry* e = shim().fds.get(dirfd);
-      e != nullptr && e->isDir && path != nullptr) {
+      e != nullptr && e->isDir && !nullPath(path)) {
     std::string hold;
     return simfsOpen(childOf(e, path, &hold), flags);
   }
@@ -408,11 +419,11 @@ int openat64(int dirfd, const char* path, int flags, ...) {
     va_end(ap);
   }
   ParsedPath p;
-  if (path != nullptr && path[0] == '/' && classify(path, &p)) {
+  if (!nullPath(path) && path[0] == '/' && classify(path, &p)) {
     return simfsOpen(p, flags);
   }
   if (const FdEntry* e = shim().fds.get(dirfd);
-      e != nullptr && e->isDir && path != nullptr) {
+      e != nullptr && e->isDir && !nullPath(path)) {
     std::string hold;
     return simfsOpen(childOf(e, path, &hold), flags);
   }
@@ -613,11 +624,11 @@ int fstatat(int dirfd, const char* path, struct stat* st, int flags) {
   static const auto realFstatat =
       realSym<int (*)(int, const char*, struct stat*, int)>("fstatat");
   ParsedPath p;
-  if (path != nullptr && path[0] == '/' && classify(path, &p)) {
+  if (!nullPath(path) && path[0] == '/' && classify(path, &p)) {
     return simfsStatPath(p, st);
   }
   if (const FdEntry* e = shim().fds.get(dirfd);
-      e != nullptr && e->isDir && path != nullptr && path[0] != '\0') {
+      e != nullptr && e->isDir && !nullPath(path) && path[0] != '\0') {
     std::string hold;
     return simfsStatPath(childOf(e, path, &hold), st);
   }
@@ -628,11 +639,11 @@ int fstatat64(int dirfd, const char* path, struct stat64* st, int flags) {
   static const auto realFstatat64 =
       realSym<int (*)(int, const char*, struct stat64*, int)>("fstatat64");
   ParsedPath p;
-  if (path != nullptr && path[0] == '/' && classify(path, &p)) {
+  if (!nullPath(path) && path[0] == '/' && classify(path, &p)) {
     return simfsStatPath64(p, st);
   }
   if (const FdEntry* e = shim().fds.get(dirfd);
-      e != nullptr && e->isDir && path != nullptr && path[0] != '\0') {
+      e != nullptr && e->isDir && !nullPath(path) && path[0] != '\0') {
     std::string hold;
     return simfsStatPath64(childOf(e, path, &hold), st);
   }
@@ -646,10 +657,10 @@ int statx(int dirfd, const char* path, int flags, unsigned int mask,
   ParsedPath p;
   bool ours = false;
   std::string hold;
-  if (path != nullptr && path[0] == '/' && classify(path, &p)) {
+  if (!nullPath(path) && path[0] == '/' && classify(path, &p)) {
     ours = true;
   } else if (const FdEntry* e = shim().fds.get(dirfd);
-             e != nullptr && e->isDir && path != nullptr &&
+             e != nullptr && e->isDir && !nullPath(path) &&
              path[0] != '\0') {
     p = childOf(e, path, &hold);
     ours = true;

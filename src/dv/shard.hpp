@@ -394,7 +394,11 @@ class DvShard {
     /// observation fan-out is O(context clients), not O(all clients).
     std::vector<ClientInfo*> clients;
     simmodel::ChecksumMap checksums;
-    int running = 0;  ///< jobs in kQueued/kRunning phase
+    /// Jobs in kQueued/kRunning phase. s_max clamps only prefetch
+    /// launches (and handoff re-launches) against it: a demand miss
+    /// launches whatever runs, since an analysis is waiting on it. So
+    /// `running` may exceed s_max by the demand jobs in flight.
+    int running = 0;
     /// Read-lease state. Owner role: leaseGen fences emitted grants
     /// (bumped before each eviction revoke); `leased` stays empty. Replica
     /// role: `leased` is the step set this node may serve locally.

@@ -1,5 +1,6 @@
 #include "dvlib/session.hpp"
 
+#include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
 
@@ -57,6 +58,29 @@ constexpr int kMaxRedirects = 4;
 
 /// How many recyclable AcquireStates a session retains.
 constexpr std::size_t kStatePoolCap = 64;
+
+/// Seen-resident table geometry: 2^11 sets of 4 ways, 8192 names (64 KB).
+/// Four ways keep a few thousand hot names free of the conflict misses a
+/// direct-mapped table of the same size shows on multi-file batches.
+constexpr int kSeenSetBits = 11;
+constexpr std::size_t kSeenWays = 4;
+
+/// The seen-resident tag of `file` (never 0, which marks an empty way)
+/// and the offset of the kSeenWays ways of the set it maps to.
+std::pair<std::uint64_t, std::ptrdiff_t> seenSlot(std::string_view file) {
+  const std::uint64_t tag = fnv1a64(file) | 1;
+  return {tag, static_cast<std::ptrdiff_t>((tag >> (64 - kSeenSetBits)) *
+                                           kSeenWays)};
+}
+
+/// Next value of a splitmix64 stream (deterministic per session).
+std::uint64_t splitmix(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ULL;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 Status statusFrom(const msg::Message& m) {
   const auto code = static_cast<StatusCode>(m.code);
@@ -234,27 +258,6 @@ Status AcquireHandle::cancel() {
   return session_->handleCancel(state_);
 }
 
-Status AcquireHandle::waitIndex(std::size_t index) {
-  if (!valid()) return errFailedPrecondition("dvlib: empty handle");
-  if (index >= state_->files.size()) {
-    return errInvalidArgument("dvlib: wait index out of range");
-  }
-  Session::Fired fired;
-  std::unique_lock lock(session_->mutex_);
-  auto& st = *state_;
-  if (session_->awaitAckLocked(lock, state_, fired)) {
-    session_->cv_.wait(lock, [&] {
-      return st.completed || st.pending.count(st.files[index]) == 0;
-    });
-  }
-  // Resolution (ack, kFileReady, failure or cancel) always writes the
-  // file's slot, so the slot is the answer.
-  const Status result = st.fileStatus[index];
-  lock.unlock();
-  for (auto& [fn, s] : fired) fn(s);
-  return result;
-}
-
 bool AcquireHandle::complete() const {
   if (!valid()) return false;
   std::lock_guard lock(session_->mutex_);
@@ -402,56 +405,53 @@ int Session::replicaIndexOfLocked(const msg::Transport* t) const {
 
 std::size_t Session::replicaEndpoints() {
   std::lock_guard lock(mutex_);
-  std::size_t live = 0;
-  for (const auto& link : replicaLinks_) {
-    if (!link.dead && link.transport && link.transport->isOpen()) ++live;
-  }
-  return live;
+  return static_cast<std::size_t>(std::count_if(
+      replicaLinks_.begin(), replicaLinks_.end(),
+      [](const ReplicaLink& link) { return link.live(); }));
 }
 
-std::shared_ptr<msg::Transport> Session::pickTransportLocked() {
+void Session::noteResidentLocked(std::string_view file) {
+  if (seenResident_.empty()) return;  // no replica links: nothing to steer
+  const auto [tag, at] = seenSlot(file);
+  const auto set = seenResident_.begin() + at;
+  if (std::find(set, set + kSeenWays, tag) != set + kSeenWays) return;
+  // Newest first: a full set drops its oldest name.
+  std::copy_backward(set, set + kSeenWays - 1, set + kSeenWays);
+  *set = tag;
+}
+
+bool Session::seenResidentLocked(std::string_view file) const {
+  if (seenResident_.empty()) return false;
+  const auto [tag, at] = seenSlot(file);
+  const auto set = seenResident_.begin() + at;
+  return std::find(set, set + kSeenWays, tag) != set + kSeenWays;
+}
+
+std::shared_ptr<msg::Transport> Session::pickTransportLocked(
+    const std::vector<std::string>& files) {
   if (router_ != nullptr && transport_ != nullptr && !replicaSetupDone_ &&
       !replicaSetupPending_ && !finalized_ && router_->replicaCount() > 0) {
     // First acquire after the federation advertised replicas: hand the
     // (blocking) dial + replica hellos to the recovery thread. This
-    // batch still goes to the owner; later ones spread.
+    // batch still goes to the owner.
     replicaSetupPending_ = true;
     wakeRecoveryLocked();
   }
-  std::size_t live = 0;
-  for (const auto& link : replicaLinks_) {
-    if (!link.dead && link.transport && link.transport->isOpen()) ++live;
+  const auto n = static_cast<std::uint64_t>(
+      std::count_if(replicaLinks_.begin(), replicaLinks_.end(),
+                    [](const ReplicaLink& link) { return link.live(); }));
+  if (n == 0 || transport_ == nullptr) return transport_;
+  for (const auto& f : files) {
+    if (!seenResidentLocked(f)) return transport_;
   }
-  if (live == 0 || transport_ == nullptr) return transport_;
-  // Power-of-two-choices on per-endpoint estimated wait: sample two
-  // distinct candidates (0 = owner, 1.. = live replica links) and take
-  // the one whose last batch ack promised the shorter wait — loaded
-  // endpoints (deep re-simulation queues) shed traffic automatically,
-  // idle replicas absorb it.
-  const std::size_t n = 1 + live;
-  const auto draw = [this](std::uint64_t bound) {
-    retrySalt_ += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = retrySalt_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return (z ^ (z >> 31)) % bound;
-  };
-  std::size_t a = draw(n);
-  std::size_t b = draw(n - 1);
-  if (b >= a) ++b;
-  const auto candidate = [&](std::size_t idx)
-      -> std::pair<std::shared_ptr<msg::Transport>, VDuration> {
-    if (idx == 0) return {transport_, ownerWait_};
-    std::size_t seen = 0;
-    for (const auto& link : replicaLinks_) {
-      if (link.dead || !link.transport || !link.transport->isOpen()) continue;
-      if (++seen == idx) return {link.transport, link.lastWait};
-    }
-    return {transport_, ownerWait_};
-  };
-  auto [ta, wa] = candidate(a);
-  auto [tb, wb] = candidate(b);
-  return wa <= wb ? std::move(ta) : std::move(tb);
+  // Every file was resident when last seen: any endpoint can serve the
+  // batch. Draw uniformly over the owner (0) and the live replicas.
+  std::uint64_t pick = splitmix(retrySalt_) % (1 + n);
+  if (pick == 0) return transport_;
+  for (const auto& link : replicaLinks_) {
+    if (link.live() && --pick == 0) return link.transport;
+  }
+  return transport_;
 }
 
 void Session::setupReplicaLinks() {
@@ -462,8 +462,7 @@ void Session::setupReplicaLinks() {
       if (finalized_ || recoveryStop_) return;
       bool have = false;
       for (const auto& link : replicaLinks_) {
-        if (link.nodeId == node.id && !link.dead && link.transport &&
-            link.transport->isOpen()) {
+        if (link.nodeId == node.id && link.live()) {
           have = true;
           break;
         }
@@ -504,6 +503,10 @@ void Session::setupReplicaLinks() {
       if (finalized_) {
         closeNow = true;  // raced finalize(): nothing tracks it anymore
       } else {
+        if (seenResident_.empty()) {
+          seenResident_.assign((std::size_t{1} << kSeenSetBits) * kSeenWays,
+                               0);
+        }
         ReplicaLink link;
         link.nodeId = node.id;
         link.endpoint = node.endpoint;
@@ -644,7 +647,9 @@ void Session::applyBatchAckLocked(detail::AcquireState& state,
       continue;
     }
     state.fileStatus[i] = Status::ok();
-    if (!avail) {
+    if (avail) {
+      noteResidentLocked(state.files[i]);
+    } else {
       state.estimatedWait = std::max(state.estimatedWait, wait);
       state.pending.insert(state.files[i]);
     }
@@ -670,6 +675,7 @@ void Session::onMessage(const msg::MessageView& m) {
     if (m.type() == msg::MsgType::kFileReady) {
       const std::string_view file = m.file0();
       const Status ready = statusFromView(m);
+      if (ready.isOk()) noteResidentLocked(file);
       // Retire the file from every live acquire awaiting it; a file no
       // acquire awaits (cancelled, say) leaves no trace.
       std::vector<std::shared_ptr<detail::AcquireState>> done;
@@ -765,16 +771,10 @@ void Session::onMessage(const msg::MessageView& m) {
               fired);
         } else {
           auto state = op->state;
-          const msg::Transport* src = op->transport;
           asyncOps_.erase(op);
           applyBatchAckLocked(*state, m);
-          // Feed the p2c picker: the batch's worst estimated wait is the
-          // endpoint's freshest load signal (0 = everything was resident).
-          if (src == transport_.get()) {
-            ownerWait_ = state->estimatedWait;
-          } else if (const int ri = replicaIndexOfLocked(src); ri >= 0) {
-            auto& link = replicaLinks_[static_cast<std::size_t>(ri)];
-            link.lastWait = state->estimatedWait;
+          if (replicaIdx >= 0) {
+            auto& link = replicaLinks_[static_cast<std::size_t>(replicaIdx)];
             // The step references now live at the REPLICA: remember the
             // serving link per file so release() unwinds them there.
             for (std::size_t i = 0; i < state->files.size(); ++i) {
@@ -834,13 +834,9 @@ VDuration Session::retryBackoffNs(int attempt, VDuration hint) {
   VDuration base = std::max(hint, retryBaseNs_);
   for (int i = 1; i < attempt && base < kBackoffCap; ++i) base *= 2;
   base = std::min(base, kBackoffCap);
-  // Deterministic ±25% jitter (splitmix-style) so a fleet of shed clients
-  // does not re-dogpile the shard in lockstep.
-  retrySalt_ += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = retrySalt_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  const std::uint64_t r = (z ^ (z >> 31)) & 0x1ff;  // 0..511
+  // Deterministic ±25% jitter so a fleet of shed clients does not
+  // re-dogpile the shard in lockstep.
+  const std::uint64_t r = splitmix(retrySalt_) & 0x1ff;  // 0..511
   return static_cast<VDuration>(static_cast<double>(base) *
                                 (0.75 + static_cast<double>(r) / 1024.0));
 }
@@ -1251,7 +1247,7 @@ AcquireHandle Session::startAcquire(FillFn&& fill) {
       state->completed = true;
       return AcquireHandle(std::move(self), std::move(state));
     }
-    t = pickTransportLocked();
+    t = pickTransportLocked(state->files);
     if (finalized_ || !t) {
       state->ack = true;
       state->completed = true;

@@ -32,7 +32,6 @@
 //                                never pin cache slots
 //   probe(i)                   — per-file ack outcome (availability,
 //                                status, estimated wait)
-//   waitIndex(i)               — block until file i alone resolved
 //
 // The wire carries exactly two DV ops: kOpenBatchReq registers interest
 // and kReleaseReq drops it. A release always travels to the link the
@@ -77,6 +76,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -164,11 +164,6 @@ class AcquireHandle {
 
   /// Per-file ack outcome; index follows files(). Valid after waitAck().
   [[nodiscard]] FileProbe probe(std::size_t index) const;
-
-  /// Blocks until file `index` alone resolved — available, failed, or
-  /// the handle failed/cancelled — and returns that file's status. The
-  /// ack phase is bounded like waitAck(); the re-simulation wait is not.
-  [[nodiscard]] Status waitIndex(std::size_t index);
 
  private:
   friend class Session;
@@ -400,13 +395,16 @@ class Session : public std::enable_shared_from_this<Session> {
 
   /// A read-only link to one of the context's lease replicas: helloed
   /// with kHelloCapReplica, so the daemon serves leased resident steps
-  /// locally and answers kNotLeased for anything else.
+  /// locally and answers kNotLeased for anything else. The spread sends
+  /// it only batches this session has seen resident (seenResident_).
   struct ReplicaLink {
     std::string nodeId;
     std::string endpoint;
     std::shared_ptr<msg::Transport> transport;
-    VDuration lastWait = 0;  ///< estimated wait from its last batch ack
     bool dead = false;
+    [[nodiscard]] bool live() const {
+      return !dead && transport && transport->isOpen();
+    }
   };
 
   /// A replica answered kNotLeased (its lease no longer covers the
@@ -417,10 +415,21 @@ class Session : public std::enable_shared_from_this<Session> {
     std::shared_ptr<msg::Transport> replica;
   };
 
-  /// Picks the transport for a new batch: owner only until replica links
-  /// are up, then power-of-two-choices on per-endpoint estimated wait
-  /// across owner + live replicas. Lock held.
-  [[nodiscard]] std::shared_ptr<msg::Transport> pickTransportLocked();
+  /// Picks the transport for a new batch of `files`: the owner, unless
+  /// replica links are live and this session has seen every file of the
+  /// batch resident — then a uniform draw over the owner and the live
+  /// replicas. A replica serves only leased resident steps, so a cold
+  /// batch sent there would bounce back (kNotLeased) and the owner's
+  /// prefetch agent would lose sight of the access; cold batches stay on
+  /// the owner, and the kNotLeased fallback is left for stale hints
+  /// (evicted or revoked steps). Lock held.
+  [[nodiscard]] std::shared_ptr<msg::Transport> pickTransportLocked(
+      const std::vector<std::string>& files);
+
+  /// Records `file` as seen resident (no-op until the table exists).
+  /// Lock held.
+  void noteResidentLocked(std::string_view file);
+  [[nodiscard]] bool seenResidentLocked(std::string_view file) const;
 
   /// Dials + replica-hellos every replica of context_ (recovery thread;
   /// no session lock across the blocking dial/hello).
@@ -433,7 +442,14 @@ class Session : public std::enable_shared_from_this<Session> {
   std::vector<ReplicaLink> replicaLinks_;   ///< guarded by mutex_
   bool replicaSetupPending_ = false;  ///< recovery thread owes a setup pass
   bool replicaSetupDone_ = false;     ///< links established (or attempted)
-  VDuration ownerWait_ = 0;  ///< owner's estimated wait from its last ack
+  /// FNV-1a hashes of the names this session has seen resident: a batch
+  /// ack (from any endpoint) reported the file available, or an OK
+  /// kFileReady retired it. A fixed 4-way set-associative table (a full
+  /// set drops its oldest name), allocated once when the first replica
+  /// link comes up: sessions without replicas never pay for it, and the
+  /// acquire path never allocates. A stale entry costs one kNotLeased
+  /// round trip, never a wrong answer.
+  std::vector<std::uint64_t> seenResident_;
   std::deque<ReplicaFallback> fallbacks_;  ///< kNotLeased retargets
   /// Per-file step references registered at a REPLICA (one entry per
   /// successful replica-served acquire): release() must unwind them on
@@ -482,7 +498,8 @@ class Session : public std::enable_shared_from_this<Session> {
   int retryBudget_ = 3;             ///< transient-failure resend bound
   VDuration retryBaseNs_ = 10'000'000;  ///< first backoff interval
   VDuration callTimeoutNs_ = 0;     ///< sync-call / ack protocol timeout
-  std::uint64_t retrySalt_ = 0x9e3779b97f4a7c15ULL;  ///< jitter stream
+  /// Deterministic draw stream: backoff jitter and the replica spread.
+  std::uint64_t retrySalt_ = 0x9e3779b97f4a7c15ULL;
   struct PendingRetry {
     std::uint64_t opId = 0;
     VTime due = 0;  ///< steady-clock ns

@@ -260,6 +260,53 @@ TEST_F(DvTest, LateEventsFromFinishedJobsIgnored) {
   EXPECT_EQ(dv_->stats().stepsProduced, before);
 }
 
+// s_max bounds prefetching, not demand: a miss launches its demand job
+// whatever is running (the analysis waits on it), and only prefetch
+// launches are clamped. So running jobs may exceed s_max by the demand
+// jobs in flight.
+TEST_F(DvTest, DemandMissLaunchesBeyondSmaxWhilePrefetchIsClamped) {
+  ContextConfig cfg = testConfig();
+  cfg.name = "smax1";
+  cfg.sMax = 1;
+  cfg.prefetchEnabled = true;
+  ASSERT_TRUE(dv_->registerContext(
+                     std::make_unique<simmodel::SyntheticDriver>(cfg))
+                  .isOk());
+  const auto sweeper = dv_->clientConnect("smax1").value();
+  const auto other = dv_->clientConnect("smax1").value();
+
+  // The sweeper's first miss runs its demand job [0, 4] to completion,
+  // then it walks forward until its agent plans past that coverage and
+  // the free slot takes the prefetch job.
+  (void)dv_->clientOpen(sweeper, cfg.codec.outputFile(1));
+  ASSERT_EQ(launcher_.launches.size(), 1u);
+  produceAll(launcher_.launches[0]);
+  StepIndex step = 2;
+  for (; step <= 4 && dv_->stats().prefetchJobs == 0; ++step) {
+    (void)dv_->clientOpen(sweeper, cfg.codec.outputFile(step));
+  }
+  ASSERT_EQ(dv_->stats().prefetchJobs, 1u);
+  ASSERT_EQ(dv_->runningJobs("smax1"), 1);
+  const StepIndex prefetchStop = launcher_.launches.back().spec.stopStep;
+
+  // Another client misses on another interval: its demand job launches
+  // although the prefetch job already fills s_max.
+  const auto res = dv_->clientOpen(other, cfg.codec.outputFile(40));
+  EXPECT_TRUE(res.status.isOk());
+  EXPECT_FALSE(res.available);
+  EXPECT_EQ(dv_->stats().demandJobs, 2u);
+  EXPECT_EQ(dv_->runningJobs("smax1"), 2);
+
+  // The sweeper walks through the prefetch job's steps to its end, where
+  // the agent plans the next block: s_max clamps it to nothing.
+  for (; step <= prefetchStop; ++step) {
+    (void)dv_->clientOpen(sweeper, cfg.codec.outputFile(step));
+  }
+  EXPECT_EQ(dv_->stats().prefetchJobs, 1u);
+  EXPECT_EQ(dv_->runningJobs("smax1"), 2);
+  EXPECT_EQ(launcher_.launches.size(), 3u);
+}
+
 TEST_F(DvTest, OpenUnknownClientFails) {
   const auto res = dv_->clientOpen(999, "out_0000000005.snc");
   EXPECT_EQ(res.status.code(), StatusCode::kFailedPrecondition);

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <set>
 #include <span>
 #include <thread>
 
@@ -238,7 +239,7 @@ TEST_F(LiveStackTest, ReleaseWithoutAcquireFails) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitIndexBlocks) {
+TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitBlocks) {
   connectClient();
   // The intercepted open: a batch of one, one round trip for the ack.
   auto handle = client_->session()->acquireAsync({"out_0000000013.snc"});
@@ -248,7 +249,7 @@ TEST_F(LiveStackTest, OpenIsNonBlockingThenWaitIndexBlocks) {
   EXPECT_FALSE(probe.available);        // miss: re-simulation started
   EXPECT_GT(probe.estimatedWait, 0);    // DV estimated the wait
   // The intercepted read's blocking point.
-  ASSERT_TRUE(handle.waitIndex(0).isOk());
+  ASSERT_TRUE(handle.wait().isOk());
   EXPECT_TRUE(store_.exists("out_0000000013.snc"));
 }
 
@@ -513,9 +514,7 @@ TEST_F(PendingStackTest, DaemonDeathFailsOutstandingWaitsInsteadOfHanging) {
   const Status st = handle.wait();  // must return promptly
   EXPECT_EQ(st.code(), StatusCode::kUnreachable);
   EXPECT_TRUE(handle.complete());
-  // The transparent-mode (per-file) wait wakes too, with the same
-  // failed-file status.
-  EXPECT_EQ(handle.waitIndex(0).code(), StatusCode::kUnreachable);
+  // The file's own outcome carries the same failure.
   EXPECT_EQ(handle.probe(0).status.code(), StatusCode::kUnreachable);
 }
 
@@ -815,10 +814,9 @@ struct ScriptedNode {
 /// transport, like SheddingTransport but ring-aware: the owner pushes
 /// the requestId-0 kRingUpdate that advertises R before acking the
 /// hello (the daemon's bind ordering), acks batches as pending with a
-/// long estimated wait and retires them with kFileReady — so the
-/// session's power-of-two-choices picker deterministically prefers a
-/// replica once the links are up. Replicas ack everything resident, or
-/// answer whole-batch kNotLeased when `replicasAnswerNotLeased` is set.
+/// long estimated wait (it looks loaded) and retires them with
+/// kFileReady. Replicas ack everything resident, or answer whole-batch
+/// kNotLeased when `replicasAnswerNotLeased` is set.
 /// With `ownerHoldsBatches` set, the owner answers no batch until
 /// redirectHeld() bounces them all to another node.
 struct ScriptedFederation {
@@ -982,53 +980,158 @@ bool spinUntil(const std::function<bool()>& pred) {
   return pred();
 }
 
+/// Connects a router session to `fed`, primes it with one batch (which
+/// dials the replica links) and waits until both links are up.
+std::shared_ptr<Session> connectWithReplicaLinks(ScriptedFederation& fed) {
+  auto connected = Session::connect(fed.router(), "live");
+  EXPECT_TRUE(connected.isOk()) << connected.status().toString();
+  if (!connected.isOk()) return nullptr;
+  std::shared_ptr<Session> session = std::move(*connected);
+  SimfsStatus status;
+  EXPECT_TRUE(session->acquire({"prime.snc"}, &status).isOk())
+      << status.error.toString();
+  EXPECT_TRUE(spinUntil([&] { return session->replicaEndpoints() == 2; }))
+      << "replica links never came up";
+  return session;
+}
+
+/// Batches `fed`'s replicas took, summed over every node but the owner.
+int replicaBatches(ScriptedFederation& fed) {
+  int n = 0;
+  for (auto& [ep, node] : fed.nodes) {
+    if (&node != &fed.at(fed.ownerId)) n += node.batches.load();
+  }
+  return n;
+}
+
+/// The replica node that took a batch, nullptr while none has.
+ScriptedNode* servingReplica(ScriptedFederation& fed) {
+  for (auto& [ep, node] : fed.nodes) {
+    if (&node != &fed.at(fed.ownerId) && node.batches.load() > 0) {
+      return &node;
+    }
+  }
+  return nullptr;
+}
+
+/// Re-acquires of seen-resident files draw uniformly over 3 endpoints;
+/// this many draws all landing on the owner has probability (1/3)^16.
+constexpr int kMaxSpreadDraws = 16;
+
+TEST(ReplicaSpreadTest, ColdBatchesStayOnTheOwner) {
+  ScriptedFederation fed;
+  auto session = connectWithReplicaLinks(fed);
+  ASSERT_NE(session, nullptr);
+
+  // The owner looks loaded (every ack promises kOwnerWait) and the
+  // replicas idle, but no file below was ever seen resident: a replica
+  // could only bounce them, so every batch goes to the owner, whose
+  // prefetch agent must see the whole trajectory.
+  for (int b = 0; b < 32; ++b) {
+    std::vector<std::string> files;
+    for (int i = 0; i < 4; ++i) {
+      files.push_back("cold_" + std::to_string(b) + "_" + std::to_string(i) +
+                      ".snc");
+    }
+    SimfsStatus status;
+    ASSERT_TRUE(session->acquire(files, &status).isOk())
+        << status.error.toString();
+  }
+  EXPECT_EQ(fed.at(fed.ownerId).batches.load(), 33);  // priming + 32
+  for (auto& [ep, node] : fed.nodes) {
+    if (&node == &fed.at(fed.ownerId)) continue;
+    EXPECT_EQ(node.batches.load(), 0) << ep;
+    EXPECT_EQ(node.cancels.load(), 0) << ep;
+  }
+  session->finalize();
+}
+
 TEST(ReplicaSpreadTest, LeasedVectoredAcquireIsOneRequestToOneEndpoint) {
   ScriptedFederation fed;
-  auto connected = Session::connect(fed.router(), "live");
-  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
-  std::shared_ptr<Session> session = std::move(*connected);
-
-  // Replica links are dialed lazily off the first batch, which still
-  // goes to the owner; its ack leaves ownerWait_ at 50 ms.
-  SimfsStatus status;
-  ASSERT_TRUE(session->acquire({"prime.snc"}, &status).isOk())
-      << status.error.toString();
-  ASSERT_TRUE(spinUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links never came up";
+  auto session = connectWithReplicaLinks(fed);
+  ASSERT_NE(session, nullptr);
+  ScriptedNode& owner = fed.at(fed.ownerId);
 
   std::vector<std::string> files;
   for (int i = 0; i < 64; ++i) {
     files.push_back("spread_" + std::to_string(i) + ".snc");
   }
+  // First touch is cold and goes to the owner; its kFileReady
+  // retirements mark all 64 files seen resident.
+  SimfsStatus status;
   ASSERT_TRUE(session->acquire(files, &status).isOk())
       << status.error.toString();
+  ASSERT_TRUE(session->release(std::span<const std::string>(files)).isOk());
+  ASSERT_EQ(owner.batches.load(), 2);
+  ASSERT_EQ(replicaBatches(fed), 0);
+
+  // Re-acquires spread: each draws the owner or a replica, so one
+  // reaches a replica within a bounded number of draws.
+  int draws = 0;
+  ScriptedNode* serving = nullptr;
+  while (serving == nullptr && draws < kMaxSpreadDraws) {
+    ++draws;
+    ASSERT_TRUE(session->acquire(files, &status).isOk())
+        << status.error.toString();
+    serving = servingReplica(fed);
+    if (serving == nullptr) {
+      ASSERT_TRUE(
+          session->release(std::span<const std::string>(files)).isOk());
+    }
+  }
+  ASSERT_NE(serving, nullptr) << "no re-acquire reached a replica";
 
   // The 64-file acquire stayed ONE kOpenBatchReq on ONE endpoint — the
-  // vectored wire contract survives the replica spread, and with the
-  // owner loaded the p2c picker lands it on a leased replica.
-  ScriptedNode& owner = fed.at(fed.ownerId);
-  EXPECT_EQ(owner.batches.load(), 1);  // the priming batch only
-  int replicaBatches = 0;
-  ScriptedNode* serving = nullptr;
-  for (auto& [ep, node] : fed.nodes) {
-    if (&node == &owner) continue;
-    replicaBatches += node.batches.load();
-    if (node.batches.load() > 0) serving = &node;
-  }
-  ASSERT_EQ(replicaBatches, 1);
-  ASSERT_NE(serving, nullptr);
+  // vectored wire contract survives the replica spread.
+  EXPECT_EQ(replicaBatches(fed), 1);
+  EXPECT_EQ(owner.batches.load(), 2 + draws - 1);
   EXPECT_TRUE(serving->replicaCapSeen.load())
       << "replica link must hello with kHelloCapReplica";
   EXPECT_NE(serving->lastBatchId.load(), 0u);
 
   // release() unwinds the references on the node that REGISTERED them:
-  // one kReleaseReq at the serving replica, none at the owner (which
-  // never heard of these opens).
+  // one kReleaseReq at the serving replica, none more at the owner
+  // (which never heard of this open).
+  const int ownerReleases = owner.releases.load();
   ASSERT_TRUE(
       session->release(std::span<const std::string>(files)).isOk());
   EXPECT_EQ(serving->releases.load(), 1);
-  EXPECT_EQ(owner.releases.load(), 0);
+  EXPECT_EQ(owner.releases.load(), ownerReleases);
   session->finalize();
+}
+
+/// The endpoint ("owner" or a replica's endpoint) that served each of
+/// `n` re-acquires of one seen-resident file, in a fresh federation.
+std::vector<std::string> spreadSequence(int n) {
+  ScriptedFederation fed;
+  auto session = connectWithReplicaLinks(fed);
+  std::vector<std::string> served;
+  if (session == nullptr) return served;
+  (void)session->acquire({"hot.snc"});  // cold: the owner marks it seen
+  std::map<std::string, int> before;
+  for (int i = 0; i < n; ++i) {
+    for (auto& [ep, node] : fed.nodes) before[ep] = node.batches.load();
+    auto handle = session->acquireAsync({"hot.snc"});
+    EXPECT_TRUE(handle.wait().isOk());
+    (void)handle.cancel();
+    for (auto& [ep, node] : fed.nodes) {
+      if (node.batches.load() == before[ep]) continue;
+      served.push_back(&node == &fed.at(fed.ownerId) ? "owner" : ep);
+    }
+  }
+  session->finalize();
+  return served;
+}
+
+TEST(ReplicaSpreadTest, SeenResidentDrawIsDeterministicPerSession) {
+  const auto first = spreadSequence(24);
+  ASSERT_EQ(first.size(), 24u);
+  // Two sessions running the same script draw the same endpoints.
+  EXPECT_EQ(spreadSequence(24), first);
+  // The draw covers the owner and both replicas.
+  const std::set<std::string> endpoints(first.begin(), first.end());
+  EXPECT_EQ(endpoints.size(), 3u);
+  EXPECT_EQ(endpoints.count("owner"), 1u);
 }
 
 TEST(ReplicaSpreadTest, ReplicaServedTransparentCloseReleasesOnTheReplica) {
@@ -1043,25 +1146,33 @@ TEST(ReplicaSpreadTest, ReplicaServedTransparentCloseReleasesOnTheReplica) {
       spinUntil([&] { return client.session()->replicaEndpoints() == 2; }))
       << "replica links never came up";
 
-  // The intercepted open/read/close of one file: with the owner loaded,
-  // the batch of one lands on a replica and completes there.
+  // Prime the file through the owner: its first open is cold.
   const std::string file = "closed.snc";
+  ASSERT_TRUE(client.session()->acquire({file}, &status).isOk())
+      << status.error.toString();
+  ASSERT_TRUE(client.release(file).isOk());
+  ScriptedNode& owner = fed.at(fed.ownerId);
+  ASSERT_EQ(owner.releases.load(), 1);
+
+  // The intercepted open/read/close of the now seen-resident file, until
+  // one open (a batch of one) lands on a replica and completes there.
   vfs::MemFileStore store;
   ASSERT_TRUE(store.put(file, encodeField(std::vector<double>{1.0})).isOk());
   auto& io = IoDispatch::instance();
   io.installAnalysis(&client, &store);
-  const auto h = io.openForRead(file);
-  ASSERT_TRUE(h.isOk()) << h.status().toString();
-  ASSERT_TRUE(io.readAll(*h).isOk());
-  ASSERT_TRUE(io.close(*h).isOk());
-  io.reset();
-
-  ScriptedNode& owner = fed.at(fed.ownerId);
+  int draws = 0;
   ScriptedNode* serving = nullptr;
-  for (auto& [ep, node] : fed.nodes) {
-    if (&node != &owner && node.batches.load() > 0) serving = &node;
+  while (serving == nullptr && draws < kMaxSpreadDraws) {
+    ++draws;
+    const auto h = io.openForRead(file);
+    ASSERT_TRUE(h.isOk()) << h.status().toString();
+    ASSERT_TRUE(io.readAll(*h).isOk());
+    ASSERT_TRUE(io.close(*h).isOk());
+    serving = servingReplica(fed);
   }
-  ASSERT_NE(serving, nullptr) << "the open must be served by a replica";
+  io.reset();
+  ASSERT_NE(serving, nullptr) << "no open reached a replica";
+
   // The close released on the replica that holds the reference: one
   // fire-and-forget kReleaseReq carrying the one file.
   ASSERT_TRUE(spinUntil([&] { return serving->cancels.load() == 1; }));
@@ -1069,11 +1180,11 @@ TEST(ReplicaSpreadTest, ReplicaServedTransparentCloseReleasesOnTheReplica) {
 
   // The close also dropped the session's record of that replica
   // reference: a later by-name release goes to the owner, not the
-  // replica. Its round trip also flushes anything the close might have
-  // sent the owner first — and it sent nothing.
+  // replica. Its round trip also flushes what the closes sent the owner
+  // first: one cancel per owner-served open, nothing for the replica's.
   EXPECT_TRUE(client.release(file).isOk());
-  EXPECT_EQ(owner.releases.load(), 1);
-  EXPECT_EQ(owner.cancels.load(), 0);
+  EXPECT_EQ(owner.releases.load(), 2);
+  EXPECT_EQ(owner.cancels.load(), draws - 1);
   EXPECT_EQ(serving->releases.load(), 0);
   EXPECT_EQ(serving->cancels.load(), 1);
   client.finalize();
@@ -1082,38 +1193,38 @@ TEST(ReplicaSpreadTest, ReplicaServedTransparentCloseReleasesOnTheReplica) {
 TEST(ReplicaSpreadTest, RevokedLeaseMidFlightRetriesOnOwner) {
   ScriptedFederation fed;
   fed.replicasAnswerNotLeased = true;  // every replica lost its lease
-  auto connected = Session::connect(fed.router(), "live");
-  ASSERT_TRUE(connected.isOk()) << connected.status().toString();
-  std::shared_ptr<Session> session = std::move(*connected);
-
-  SimfsStatus status;
-  ASSERT_TRUE(session->acquire({"prime.snc"}, &status).isOk())
-      << status.error.toString();
-  ASSERT_TRUE(spinUntil([&] { return session->replicaEndpoints() == 2; }))
-      << "replica links never came up";
-
-  // The batch lands on a replica (owner is loaded), bounces with
-  // kNotLeased, and must complete on the owner without surfacing any of
-  // that to the caller.
-  auto handle = session->acquireAsync({"revoked.snc"});
-  const Status st = handle.wait();
-  EXPECT_TRUE(st.isOk()) << st.toString();
-
+  auto session = connectWithReplicaLinks(fed);
+  ASSERT_NE(session, nullptr);
   ScriptedNode& owner = fed.at(fed.ownerId);
-  int replicaBatches = 0;
+
+  // The session saw the file resident (its cold open retired on the
+  // owner), so a later open may draw a replica — whose lease no longer
+  // covers it: a stale hint.
+  SimfsStatus status;
+  ASSERT_TRUE(session->acquire({"revoked.snc"}, &status).isOk())
+      << status.error.toString();
+  ASSERT_EQ(owner.batches.load(), 2);
+
+  // The drawn replica bounces the batch with kNotLeased, and it must
+  // complete on the owner without surfacing any of that to the caller.
+  int draws = 0;
   ScriptedNode* bounced = nullptr;
-  for (auto& [ep, node] : fed.nodes) {
-    if (&node == &owner) continue;
-    replicaBatches += node.batches.load();
-    if (node.batches.load() > 0) bounced = &node;
+  while (bounced == nullptr && draws < kMaxSpreadDraws) {
+    ++draws;
+    auto handle = session->acquireAsync({"revoked.snc"});
+    const Status st = handle.wait();
+    ASSERT_TRUE(st.isOk()) << st.toString();
+    (void)handle.cancel();
+    bounced = servingReplica(fed);
   }
-  ASSERT_EQ(replicaBatches, 1);
-  ASSERT_NE(bounced, nullptr);
+  ASSERT_NE(bounced, nullptr) << "no open drew a replica";
+  EXPECT_EQ(replicaBatches(fed), 1);
   // The fallback unwound the replica first (cancel), then resent the
   // batch to the owner under the SAME requestId — the dedup window
   // absorbs a replica that raced its revocation and answered anyway.
+  // Every draw reached the owner once, directly or through the fallback.
   EXPECT_EQ(bounced->cancels.load(), 1);
-  EXPECT_EQ(owner.batches.load(), 2);  // priming + the retried batch
+  EXPECT_EQ(owner.batches.load(), 2 + draws);
   EXPECT_NE(bounced->lastBatchId.load(), 0u);
   EXPECT_EQ(owner.lastBatchId.load(), bounced->lastBatchId.load());
   session->finalize();

@@ -376,7 +376,7 @@ TEST(FederationTest, WrongNodeSimulatorEventsAreForwarded) {
   ++sent;
 
   // The forwarded events reach dv0 and release the blocked open.
-  EXPECT_TRUE(handle.waitIndex(0).isOk());
+  EXPECT_TRUE(handle.wait().isOk());
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -902,7 +902,7 @@ TEST(FederationTest, ZipfReplicaReadsMatchReplayAndSpreadServing) {
     }
   }
   EXPECT_GT(hitsAfter, hitsBefore)
-      << "p2c spread never served a read off a lease";
+      << "the spread never served a read off a lease";
 
   session->finalize();
   router->drainPool();
