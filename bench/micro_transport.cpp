@@ -1,11 +1,10 @@
-// Same-host transport comparison (google-benchmark): the negotiated shm
-// data plane against the unix-socket reactor path, through the full
-// serving stack of the daemon:
+// Unix-socket transport benchmark (google-benchmark): the epoll reactor
+// path through the full serving stack of the daemon:
 //
 //   transport -> dispatch -> shard queue -> worker batch drain -> DvShard
 //   -> buffered reply -> transport
 //
-// Two shapes per transport:
+// Two shapes:
 //
 //   * OpenRtt — one client, one pre-seeded one-file kOpenBatchReq in
 //     flight at a time, acked before the next goes out. Time/op IS the
@@ -13,21 +12,14 @@
 //     wire + pipeline latency, not scheduler wake-up jitter.
 //   * OpenFlood — N clients stream opens with a bounded unacked window;
 //     items_per_second is end-to-end throughput. The steady-state
-//     allocs/op counter must be 0 on BOTH transports — the shm ring
-//     encodes frames in place exactly like the pooled socket path.
-//
-// Transport selection rides the real negotiation: SIMFS_SHM=0 suppresses
-// the client's hello offer (socket baseline), SIMFS_SHM=1 lets the
-// session upgrade to the per-connection shm ring pair. Each benchmark
-// asserts which data plane it actually got, so a silently-degraded run
-// shows up as a skip, not a wrong number.
+//     allocs/op counter must be 0: frames encode into pooled buffers and
+//     decode in place as views.
 //
 // Run with --json (see bench_util.hpp) for BENCH_transport.json.
 #include "alloc_counter.hpp"
 #include "bench_util.hpp"
 #include "dv/daemon.hpp"
 #include "msg/message.hpp"
-#include "msg/shm_transport.hpp"
 #include "msg/transport.hpp"
 
 #include <benchmark/benchmark.h>
@@ -36,7 +28,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -99,8 +90,8 @@ struct BenchDaemon {
   ~BenchDaemon() { ::unlink(path.c_str()); }
 };
 
-/// One client on the negotiated data plane: counts acks in an atomic so
-/// latency-sensitive callers may spin instead of sleeping on a condvar.
+/// One socket client: counts acks in an atomic so latency-sensitive
+/// callers may spin instead of sleeping on a condvar.
 struct BenchClient {
   std::unique_ptr<msg::Transport> transport;
   std::vector<std::string> files;
@@ -112,7 +103,7 @@ struct BenchClient {
   bool helloOk = false;
   std::atomic<bool> helloDone{false};
 
-  /// Connects, greets, and reports the data plane the session settled on.
+  /// Connects and greets; false unless the hello was acked OK.
   bool connect(const BenchDaemon& bd) {
     auto conn = msg::unixSocketConnect(bd.path);
     if (!conn.isOk()) return false;
@@ -248,27 +239,7 @@ class FloodPool {
   bool stop_ = false;
 };
 
-/// Pins SIMFS_SHM for the benchmark's lifetime and restores it after.
-struct ShmKnob {
-  explicit ShmKnob(bool enable) {
-    const char* prev = std::getenv("SIMFS_SHM");
-    hadPrev_ = prev != nullptr;
-    if (hadPrev_) prev_ = prev;
-    ::setenv("SIMFS_SHM", enable ? "1" : "0", 1);
-  }
-  ~ShmKnob() {
-    if (hadPrev_) {
-      ::setenv("SIMFS_SHM", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("SIMFS_SHM");
-    }
-  }
-  bool hadPrev_ = false;
-  std::string prev_;
-};
-
-void runOpenRtt(benchmark::State& state, bool shm) {
-  ShmKnob knob(shm);
+void BM_SocketOpenRtt(benchmark::State& state) {
   BenchDaemon bd(/*shards=*/1);
   if (!bd.ok) {
     state.SkipWithError("daemon setup failed");
@@ -279,12 +250,7 @@ void runOpenRtt(benchmark::State& state, bool shm) {
     state.SkipWithError("connect/hello failed");
     return;
   }
-  const std::string_view kind = client.transport->kindName();
-  if (kind != (shm ? "shm" : "socket")) {
-    state.SkipWithError("negotiation did not settle on expected plane");
-    return;
-  }
-  // Warm-up: pools, arenas and the ring's futex fast path.
+  // Warm-up: pools and arenas.
   for (int i = 0; i < 512; ++i) {
     if (!client.openOnce(i)) {
       state.SkipWithError("open failed");
@@ -299,12 +265,10 @@ void runOpenRtt(benchmark::State& state, bool shm) {
     }
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string(kind));
   client.transport->close();
 }
 
-void runOpenFlood(benchmark::State& state, bool shm) {
-  ShmKnob knob(shm);
+void BM_SocketOpenFlood(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   BenchDaemon bd(/*shards=*/2);
   if (!bd.ok) {
@@ -318,10 +282,6 @@ void runOpenFlood(benchmark::State& state, bool shm) {
       state.SkipWithError("connect/hello failed");
       return;
     }
-    if (bc->transport->kindName() != (shm ? "shm" : "socket")) {
-      state.SkipWithError("negotiation did not settle on expected plane");
-      return;
-    }
     flood.push_back(std::move(bc));
   }
   {
@@ -330,9 +290,7 @@ void runOpenFlood(benchmark::State& state, bool shm) {
     for (auto _ : state) {
       pool.runRound(kOpsPerClientPerIter);
     }
-    // Steady-state allocation audit (see micro_daemon.cpp): the shm data
-    // plane must match the socket path's 0 allocs/op — frames encode
-    // straight into ring slots and decode in place as views.
+    // Steady-state allocation audit (see micro_daemon.cpp): 0 allocs/op.
     const std::uint64_t before =
         bench::g_allocCount.load(std::memory_order_relaxed);
     pool.runRound(kOpsPerClientPerIter);
@@ -347,25 +305,11 @@ void runOpenFlood(benchmark::State& state, bool shm) {
   for (auto& bc : flood) bc->transport->close();
 }
 
-void BM_SocketOpenRtt(benchmark::State& state) { runOpenRtt(state, false); }
-void BM_ShmOpenRtt(benchmark::State& state) { runOpenRtt(state, true); }
-void BM_SocketOpenFlood(benchmark::State& state) {
-  runOpenFlood(state, false);
-}
-void BM_ShmOpenFlood(benchmark::State& state) { runOpenFlood(state, true); }
-
 }  // namespace
 
 BENCHMARK(BM_SocketOpenRtt)->UseRealTime()->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ShmOpenRtt)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_SocketOpenFlood)
-    ->ArgNames({"clients"})
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ShmOpenFlood)
     ->ArgNames({"clients"})
     ->Arg(1)
     ->Arg(4)

@@ -18,7 +18,7 @@
 //
 //   simfsctl ping <socket-path> [count]
 //       Liveness probe: `count` (default 1) kPing round trips on one
-//       negotiated connection, answered on the daemon's
+//       connection, answered on the daemon's
 //       dispatch thread (NOT through the worker pool), so it tells a
 //       wedged pipeline apart from a dead process. Prints the node id
 //       and the measured RTT.
@@ -217,87 +217,8 @@ int driverInfo(const std::string& path) {
   return 0;
 }
 
-/// Name for the TransportChoice a kHelloAck reported (0 = the daemon
-/// predates negotiation, or no offer was made).
-const char* transportChoiceName(std::int64_t choice) {
-  switch (static_cast<msg::TransportChoice>(choice)) {
-    case msg::TransportChoice::kShm: return "shm";
-    case msg::TransportChoice::kUringSocket: return "socket+uring";
-    case msg::TransportChoice::kSocket: return "socket";
-    case msg::TransportChoice::kLegacy: break;
-  }
-  return "socket (no negotiation)";
-}
-
-/// One-shot request/reply against a daemon socket; returns non-zero and
-/// prints a diagnostic on connection/timeout failure.
-///
-/// With `transportKind` set, a simulator-role kHello precedes the request
-/// so the connection can negotiate the same-host shm data plane — the
-/// request then travels over whichever transport the session settled on,
-/// and `transportKind` receives its name. `rttUs` (optional) receives the
-/// round-trip time of the request itself, negotiation excluded.
-int daemonCall(const std::string& socketPath, msg::MsgType type,
-               msg::Message* reply, std::string* transportKind = nullptr,
-               long long* rttUs = nullptr) {
-  auto conn = msg::unixSocketConnect(socketPath);
-  if (!conn) {
-    std::fprintf(stderr, "cannot connect: %s\n",
-                 conn.status().toString().c_str());
-    return 1;
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<msg::Message> got;
-  std::size_t seen = 0;
-  (*conn)->setHandler([&](msg::Message&& m) {
-    std::lock_guard lock(mu);
-    got.push_back(std::move(m));
-    cv.notify_all();
-  });
-  const auto await = [&](msg::Message* out) {
-    std::unique_lock lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(5),
-                     [&] { return got.size() > seen; })) {
-      std::fprintf(stderr, "no reply from daemon\n");
-      return false;
-    }
-    *out = std::move(got[seen++]);
-    return true;
-  };
-  if (transportKind != nullptr) {
-    msg::Message hello;
-    hello.type = msg::MsgType::kHello;
-    hello.requestId = 1;
-    hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kSimulator);
-    if (!(*conn)->send(hello).isOk()) {
-      std::fprintf(stderr, "send failed\n");
-      return 1;
-    }
-    msg::Message ack;
-    if (!await(&ack)) return 1;
-    *transportKind = transportChoiceName(ack.intArg2);
-  }
-  msg::Message req;
-  req.type = type;
-  req.requestId = 2;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!(*conn)->send(req).isOk()) {
-    std::fprintf(stderr, "send failed\n");
-    return 1;
-  }
-  if (!await(reply)) return 1;
-  if (rttUs != nullptr) {
-    *rttUs = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - t0)
-                 .count();
-  }
-  (*conn)->close();
-  return 0;
-}
-
-/// One-shot request/reply with a caller-built request (no hello) — the
-/// admin plane: ring proposals/commits and version-probing pings.
+/// One-shot request/reply against a daemon socket (no hello); returns
+/// non-zero and prints a diagnostic on connection/timeout failure.
 int daemonSend(const std::string& socketPath, msg::Message req,
                msg::Message* reply) {
   auto conn = msg::unixSocketConnect(socketPath);
@@ -348,6 +269,14 @@ std::int64_t probeProtocolVersion(const std::string& endpoint) {
   return pong.intArg2 > 0 ? pong.intArg2 : 1;  // 0 = pre-negotiation daemon
 }
 
+/// daemonSend with a bare request of `type`.
+int daemonCall(const std::string& socketPath, msg::MsgType type,
+               msg::Message* reply) {
+  msg::Message req;
+  req.type = type;
+  return daemonSend(socketPath, std::move(req), reply);
+}
+
 int daemonPing(const std::string& socketPath, long long count) {
   auto conn = msg::unixSocketConnect(socketPath);
   if (!conn) {
@@ -355,43 +284,34 @@ int daemonPing(const std::string& socketPath, long long count) {
                  conn.status().toString().c_str());
     return 1;
   }
+  // One ping in flight at a time, so one reply slot suffices.
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<msg::Message> got;
-  std::size_t seen = 0;
+  bool have = false;
+  msg::Message got;
   (*conn)->setHandler([&](msg::Message&& m) {
     std::lock_guard lock(mu);
-    got.push_back(std::move(m));
+    got = std::move(m);
+    have = true;
     cv.notify_all();
   });
   const auto await = [&](msg::Message* out) {
     std::unique_lock lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(5),
-                     [&] { return got.size() > seen; })) {
+    if (!cv.wait_for(lock, std::chrono::seconds(5), [&] { return have; })) {
       std::fprintf(stderr, "no reply from daemon\n");
       return false;
     }
-    *out = std::move(got[seen++]);
+    *out = std::move(got);
+    have = false;
     return true;
   };
-  msg::Message hello;
-  hello.type = msg::MsgType::kHello;
-  hello.requestId = 1;
-  hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kSimulator);
-  if (!(*conn)->send(hello).isOk()) {
-    std::fprintf(stderr, "send failed\n");
-    return 1;
-  }
-  msg::Message ack;
-  if (!await(&ack)) return 1;
-  const std::string transport = transportChoiceName(ack.intArg2);
   long long minUs = std::numeric_limits<long long>::max();
   long long sumUs = 0;
   msg::Message reply;
   for (long long i = 0; i < count; ++i) {
     msg::Message req;
     req.type = msg::MsgType::kPing;
-    req.requestId = static_cast<std::uint64_t>(2 + i);
+    req.requestId = static_cast<std::uint64_t>(1 + i);
     const auto t0 = std::chrono::steady_clock::now();
     if (!(*conn)->send(req).isOk()) {
       std::fprintf(stderr, "send failed\n");
@@ -410,12 +330,10 @@ int daemonPing(const std::string& socketPath, long long count) {
   }
   const char* node = reply.text.empty() ? "(standalone)" : reply.text.c_str();
   if (count == 1) {
-    std::printf("pong from %s: %lld us over %s\n", node, sumUs,
-                transport.c_str());
+    std::printf("pong from %s: %lld us\n", node, sumUs);
   } else {
-    std::printf("pong from %s: %lld pings, min %lld us, avg %lld us over %s\n",
-                node, count, minUs, count > 0 ? sumUs / count : 0,
-                transport.c_str());
+    std::printf("pong from %s: %lld pings, min %lld us, avg %lld us\n", node,
+                count, minUs, count > 0 ? sumUs / count : 0);
   }
   (*conn)->close();
   return 0;
@@ -438,9 +356,8 @@ int daemonStatus(const std::string& socketPath) {
 
 int daemonShardStats(const std::string& socketPath) {
   msg::Message reply;
-  std::string transport;
   if (const int rc = daemonCall(socketPath, msg::MsgType::kShardStatsReq,
-                                &reply, &transport);
+                                &reply);
       rc != 0) {
     return rc;
   }
@@ -448,7 +365,6 @@ int daemonShardStats(const std::string& socketPath) {
     std::fprintf(stderr, "daemon does not speak kShardStatsReq\n");
     return 1;
   }
-  std::printf("transport: %s\n", transport.c_str());
   std::printf("serving pipeline (%s):\n", reply.text.c_str());
   for (const auto& line : reply.files) {
     std::printf("  ");

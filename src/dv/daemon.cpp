@@ -4,7 +4,6 @@
 #include "common/fault.hpp"
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "msg/shm_transport.hpp"
 
 #include <algorithm>
 #include <array>
@@ -18,17 +17,6 @@ constexpr const char* kTag = "daemon";
 
 std::int32_t codeOf(const Status& st) noexcept {
   return static_cast<std::int32_t>(st.code());
-}
-
-/// TransportChoice echoed in a kHelloAck when (and only when) the hello
-/// advertised negotiation caps: what this session actually settled on.
-std::int64_t negotiatedChoice(const msg::Transport& t) {
-  if (t.kindName() == "shm") {
-    return static_cast<std::int64_t>(msg::TransportChoice::kShm);
-  }
-  return static_cast<std::int64_t>(msg::reactorBackendName() == "uring"
-                                       ? msg::TransportChoice::kUringSocket
-                                       : msg::TransportChoice::kSocket);
 }
 
 void atomicMax(std::atomic<std::uint64_t>& slot, std::uint64_t value) {
@@ -307,6 +295,8 @@ Status Daemon::setChecksumMap(const std::string& context,
 }
 
 void Daemon::serveTransport(std::unique_ptr<msg::Transport> transport) {
+  (transport->kindName() == "socket" ? connSocket_ : connOther_)
+      .fetch_add(1, std::memory_order_relaxed);
   auto session = std::make_shared<Session>();
   session->transport = std::move(transport);
   {
@@ -319,10 +309,6 @@ void Daemon::serveTransport(std::unique_ptr<msg::Transport> transport) {
     });
     sessions_.push_back(session);
   }
-  installSessionHandlers(session);
-}
-
-void Daemon::installSessionHandlers(const std::shared_ptr<Session>& session) {
   std::weak_ptr<Session> weak = session;
   session->transport->setCloseHandler([this, weak] {
     if (auto s = weak.lock()) onSessionClosed(s);
@@ -333,40 +319,6 @@ void Daemon::installSessionHandlers(const std::shared_ptr<Session>& session) {
   session->transport->setViewHandler([this, weak](const msg::MessageView& m) {
     if (auto s = weak.lock()) dispatch(s, m);
   });
-}
-
-void Daemon::maybeUpgradeToShm(const std::shared_ptr<Session>& session,
-                               const msg::MessageView& m) {
-  // Upgrade decision, taken exactly once per session at its first kHello,
-  // on the dispatching thread (the only thread that touches an unbound
-  // session's transport): the client offered a segment, negotiation is
-  // enabled here, and the session actually runs over a plain socket.
-  if ((m.intArg2() & msg::kHelloCapShm) == 0) return;
-  if (m.text().empty() || !msg::shmNegotiationEnabled()) return;
-  if (session->transport->kindName() != "socket") return;
-  // Never on a bound session: workers may be sending replies on this
-  // transport concurrently (the re-hello is rejected downstream anyway).
-  if (session->client.load() != 0 || session->shard.load() >= 0) return;
-  auto shm = msg::shmAdoptServer(std::string(m.text()), session->transport);
-  if (!shm) return;  // bad segment: decline silently, the socket ack settles
-  // Swap the data plane under the session, then re-point the handlers at
-  // the wrapper. The hello view `m` stays valid: it references the socket
-  // conn's receive buffer, and the socket lives on inside the wrapper for
-  // crash detection. The kHelloAck sent after this — over the ring — is
-  // the accept signal the client's negotiator waits for.
-  session->transport = std::move(shm);
-  installSessionHandlers(session);
-}
-
-void Daemon::noteHelloTransport(const msg::Transport& t) {
-  const std::string_view kind = t.kindName();
-  if (kind == "shm") {
-    connShm_.fetch_add(1, std::memory_order_relaxed);
-  } else if (kind == "socket") {
-    connSocket_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    connOther_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::unique_ptr<msg::Transport> Daemon::connectInProc() {
@@ -469,16 +421,11 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
       if (static_cast<msg::ClientRole>(m.intArg()) ==
           msg::ClientRole::kSimulator) {
         // Simulator sessions need no per-session state: their events
-        // (kSimFileClosed/kSimFinished) route by job id. The transport
-        // upgrade still applies — acked inline, over whichever plane won.
-        maybeUpgradeToShm(session, m);
+        // (kSimFileClosed/kSimFinished) route by job id; acked inline.
         msg::Message reply;
         reply.requestId = m.requestId();
         reply.type = msg::MsgType::kHelloAck;
         reply.code = codeOf(Status::ok());
-        if ((m.intArg2() & msg::kHelloCapShm) != 0) {
-          reply.intArg2 = negotiatedChoice(*session->transport);
-        }
         if ((m.intArg2() & msg::kHelloCapVersion) != 0) {
           std::int64_t offer[2] = {};
           std::size_t n = 0;
@@ -496,7 +443,6 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
             reply.ints.push_back(chosen);
           }
         }
-        noteHelloTransport(*session->transport);
         (void)session->transport->send(reply);
         return;
       }
@@ -544,11 +490,6 @@ void Daemon::dispatch(const std::shared_ptr<Session>& session,
       const int bound = session->shard.load();
       std::size_t target = *idx;
       if (bound < 0) {
-        // First hello on a locally-served context: the last point where
-        // no worker can hold a reference to this session's transport, so
-        // the shm upgrade (if offered) swaps the data plane here. The
-        // worker's kHelloAck then travels over the winning channel.
-        maybeUpgradeToShm(session, m);
         session->shard.store(static_cast<int>(*idx));
       } else {
         target = static_cast<std::size_t>(bound);
@@ -1935,12 +1876,9 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
   switch (m.type) {
     case msg::MsgType::kHello: {
       reply.type = msg::MsgType::kHelloAck;
-      // Negotiation answer, echoed ONLY to clients that advertised caps —
-      // acks to legacy clients stay byte-identical to pre-negotiation
-      // daemons. The transport itself was already chosen at dispatch.
-      if ((m.intArg2 & msg::kHelloCapShm) != 0) {
-        reply.intArg2 = negotiatedChoice(*session->transport);
-      }
+      // intArg2 stays 0 whatever caps the hello offered (kHelloCapShm is
+      // reserved and ignored), so every ack is byte-identical to the
+      // pre-negotiation protocol.
       if ((m.intArg2 & msg::kHelloCapVersion) != 0) {
         // Protocol-version handshake: the daemon answers the highest
         // version both sides speak. A client whose floor is above this
@@ -1985,7 +1923,6 @@ void Daemon::processClientMessage(std::size_t shardIndex, DvShard& shard,
         }
         reply.code = codeOf(Status::ok());
         reply.intArg = static_cast<std::int64_t>(*id);
-        noteHelloTransport(*session->transport);
       } else {
         reply.code = codeOf(id.status());
         reply.text = arena.copyString(id.status().message());
@@ -2263,7 +2200,7 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
       "shards=%zu;workers=%zu;node=%s;ring=%zu;redirects=%llu;"
       "forwarded=%llu;forward_drops=%llu;pings=%llu;pongs=%llu;"
       "peers_suspect=%llu;peers_dead=%llu;"
-      "conn_socket=%llu;conn_shm=%llu;conn_other=%llu;reactor=%.*s;"
+      "conn_socket=%llu;conn_other=%llu;reactor=%.*s;"
       "replicas=%zu;lease_grants=%llu;lease_revokes=%llu;lease_acks=%llu;"
       "revoking=%s;proto=%lld;handoffs_inflight=%zu;handoffs_committed=%llu;"
       "handoffs_aborted=%llu",
@@ -2278,7 +2215,6 @@ msg::Message Daemon::buildShardStatsReply(std::uint64_t requestId) const {
       static_cast<unsigned long long>(fed.peersDead),
       static_cast<unsigned long long>(
           connSocket_.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(connShm_.load(std::memory_order_relaxed)),
       static_cast<unsigned long long>(
           connOther_.load(std::memory_order_relaxed)),
       static_cast<int>(msg::reactorBackendName().size()),

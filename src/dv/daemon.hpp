@@ -356,17 +356,6 @@ class Daemon {
   void finishEnqueue(std::size_t shard);
   void enqueueSimEvent(DaemonRequest&& request);
   void onSessionClosed(const std::shared_ptr<Session>& session);
-  /// Points the session's transport at this daemon (close + view handler).
-  void installSessionHandlers(const std::shared_ptr<Session>& session);
-  /// Transport negotiation, decided at the session's first kHello on the
-  /// dispatching thread: when the hello offers a shared-memory segment
-  /// (kHelloCapShm + key) and this session runs over a plain socket, the
-  /// daemon maps the segment and swaps the session onto the rings. Any
-  /// failure declines silently — the socket ack settles the client back.
-  void maybeUpgradeToShm(const std::shared_ptr<Session>& session,
-                         const msg::MessageView& m);
-  /// Per-transport connection accounting at hello time (kShardStatsAck).
-  void noteHelloTransport(const msg::Transport& t);
   void workerLoop(std::size_t workerIndex);
   bool drainShard(std::size_t shard, std::vector<DaemonRequest>& batch);
   void processOnShard(std::size_t shardIndex, DvShard& shard,
@@ -421,9 +410,9 @@ class Daemon {
     VDuration dialBackoff = 0;   ///< current backoff interval (ns)
   };
 
-  /// Cumulative sessions that completed a hello, by negotiated transport.
+  /// Cumulative sessions accepted by serveTransport, by transport kind
+  /// (kShardStatsAck's conn_socket / conn_other).
   std::atomic<std::uint64_t> connSocket_{0};
-  std::atomic<std::uint64_t> connShm_{0};
   std::atomic<std::uint64_t> connOther_{0};  ///< inproc and friends
 
   std::atomic<std::uint64_t> redirects_{0};

@@ -1,50 +1,28 @@
 #include "msg/message.hpp"
 
-#include <cstring>
-
 namespace simfs::msg {
 namespace {
 
-// --- Sink primitive writers (little-endian, matching the original
-// --- string-based encoder byte for byte). Templated on the sink so the
-// --- same serializer fills a growable WireBuffer or a caller-provided
-// --- fixed region (a reserved shm ring slot) alike. -------------------------
+// --- Primitive writers (little-endian, matching the original string-based
+// --- encoder byte for byte). ------------------------------------------------
 
-/// Fixed-region sink: the caller guarantees encodedSize(m) bytes at `at`.
-struct FixedSink {
-  char* at;
-  char* grow(std::size_t n) {
-    char* p = at;
-    at += n;
-    return p;
-  }
-  void append(const void* p, std::size_t n) {
-    if (n == 0) return;  // empty field: p may be nullptr
-    std::memcpy(grow(n), p, n);
-  }
-};
-
-template <typename Sink>
-void putU16(Sink& out, std::uint16_t v) {
+void putU16(WireBuffer& out, std::uint16_t v) {
   char* p = out.grow(2);
   p[0] = static_cast<char>(v & 0xFF);
   p[1] = static_cast<char>((v >> 8) & 0xFF);
 }
 
-template <typename Sink>
-void putU32(Sink& out, std::uint32_t v) {
+void putU32(WireBuffer& out, std::uint32_t v) {
   char* p = out.grow(4);
   for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-template <typename Sink>
-void putU64(Sink& out, std::uint64_t v) {
+void putU64(WireBuffer& out, std::uint64_t v) {
   char* p = out.grow(8);
   for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
-template <typename Sink>
-void putStr(Sink& out, std::string_view s) {
+void putStr(WireBuffer& out, std::string_view s) {
   putU32(out, static_cast<std::uint32_t>(s.size()));
   out.append(s.data(), s.size());
 }
@@ -67,11 +45,13 @@ void putStr(Sink& out, std::string_view s) {
   return v;
 }
 
-/// The one serializer: works for Message (std::string fields / vectors)
-/// and MessageRef (string_views / spans) alike — both expose the same
-/// member names, so the wire bytes are identical by construction.
-template <typename M, typename Sink>
-void encodePayloadImpl(const M& m, Sink& out) {
+/// The one serializer, writing one complete frame: works for Message
+/// (std::string fields / vectors) and MessageRef (string_views / spans)
+/// alike — both expose the same member names, so the wire bytes are
+/// identical by construction.
+template <typename M>
+void encodeImpl(const M& m, WireBuffer& out) {
+  out.beginFrame();
   putU16(out, static_cast<std::uint16_t>(m.type));
   putU64(out, m.requestId);
   putU32(out, static_cast<std::uint32_t>(m.code));
@@ -84,27 +64,7 @@ void encodePayloadImpl(const M& m, Sink& out) {
   for (const auto& f : m.files) putStr(out, f);
   putU32(out, static_cast<std::uint32_t>(m.ints.size()));
   for (const std::int64_t v : m.ints) putU64(out, static_cast<std::uint64_t>(v));
-}
-
-template <typename M>
-void encodeImpl(const M& m, WireBuffer& out) {
-  out.beginFrame();
-  encodePayloadImpl(m, out);
   out.endFrame();
-}
-
-/// Mirrors encodePayloadImpl field for field; the two are kept adjacent so
-/// a codec change cannot update one without the other (and the fuzz test
-/// cross-checks them on every message shape).
-template <typename M>
-std::size_t encodedSizeImpl(const M& m) {
-  std::size_t n = 2 + 8 + 4 + 8 + 8 + 2;  // type..hops fixed header
-  n += 4 + m.context.size();
-  n += 4 + m.text.size();
-  n += 4;
-  for (const auto& f : m.files) n += 4 + f.size();
-  n += 4 + 8 * m.ints.size();
-  return n;
 }
 
 /// Bounds-checked cursor used only by parse(); after validation the view
@@ -254,20 +214,6 @@ Message MessageView::toMessage() const {
 void encodeInto(const Message& m, WireBuffer& out) { encodeImpl(m, out); }
 
 void encodeInto(const MessageRef& m, WireBuffer& out) { encodeImpl(m, out); }
-
-std::size_t encodedSize(const Message& m) { return encodedSizeImpl(m); }
-
-std::size_t encodedSize(const MessageRef& m) { return encodedSizeImpl(m); }
-
-void encodeToBuffer(const Message& m, char* dst) {
-  FixedSink sink{dst};
-  encodePayloadImpl(m, sink);
-}
-
-void encodeToBuffer(const MessageRef& m, char* dst) {
-  FixedSink sink{dst};
-  encodePayloadImpl(m, sink);
-}
 
 Message materialize(const MessageRef& m) {
   Message out;

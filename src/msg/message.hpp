@@ -21,17 +21,13 @@ namespace simfs::msg {
 /// Protocol message types.
 enum class MsgType : std::uint16_t {
   // --- session setup -------------------------------------------------------
-  kHello = 1,      ///< client->DV: context=ctx name, intArg=role (ClientRole).
-                   ///< Transport negotiation (additive, PR 7): intArg2 is a
-                   ///< bitmask of client transport capabilities (0 = legacy
-                   ///< client, socket only) and text carries the client's shm
-                   ///< segment key when kHelloCapShm is set. Old daemons
-                   ///< ignore both fields — the offer degrades transparently.
+  kHello = 1,      ///< client->DV: context=ctx name, intArg=role (ClientRole),
+                   ///< intArg2=bitmask of kHelloCap* capabilities (0 =
+                   ///< legacy client). text is unused; old clients may put
+                   ///< a key there next to the reserved kHelloCapShm bit.
   kHelloAck,       ///< DV->client: code=status, intArg=assigned client id.
-                   ///< intArg2=TransportChoice the daemon selected; 0
-                   ///< (kLegacy) from old daemons AND whenever the client did
-                   ///< not advertise capabilities, so acks to legacy clients
-                   ///< stay byte-identical to the pre-negotiation protocol.
+                   ///< intArg2 is always 0, so every ack stays byte-
+                   ///< identical to the pre-negotiation protocol.
 
   // --- analysis-side data access (Sec. III-A, III-C) -----------------------
   // Interest is registered by kOpenBatchReq (below) and dropped by
@@ -183,8 +179,10 @@ enum class MsgType : std::uint16_t {
 /// Who is connecting (intArg of kHello).
 enum class ClientRole : std::int64_t { kAnalysis = 0, kSimulator = 1 };
 
-/// kHello.intArg2 capability bit: the client can map a same-host shared-
-/// memory ring pair; kHello.text then names its shm segment.
+/// Reserved kHello.intArg2 bit, once the offer of a retired shared-memory
+/// data plane. This build never sets it and the daemon ignores it: an old
+/// client that offers it is answered over the socket with intArg2 = 0,
+/// which its negotiator already reads as "stay on the socket".
 inline constexpr std::int64_t kHelloCapShm = 1;
 
 /// kHello.intArg2 capability bit: the client understands replica serving —
@@ -210,16 +208,6 @@ inline constexpr std::int64_t kHelloCapVersion = 4;
 /// version without binding a session.
 inline constexpr std::int64_t kProtocolVersionMin = 1;
 inline constexpr std::int64_t kProtocolVersionMax = 2;
-
-/// kHelloAck.intArg2: which data plane the daemon chose for this session.
-/// kLegacy (0) doubles as "the daemon predates negotiation" — both sides
-/// then behave exactly like the socket path.
-enum class TransportChoice : std::int64_t {
-  kLegacy = 0,
-  kSocket = 1,
-  kShm = 2,
-  kUringSocket = 3,  ///< socket data plane, io_uring reactor backend
-};
 
 /// The one protocol message shape.
 struct Message {
@@ -369,19 +357,6 @@ class MessageView {
 /// to encode(m) — pinned by the golden-bytes test.
 void encodeInto(const Message& m, WireBuffer& out);
 void encodeInto(const MessageRef& m, WireBuffer& out);
-
-/// Exact encode()d payload size of `m` (no outer frame header), computed
-/// arithmetically without serializing — how the shm transport reserves a
-/// ring extent before encoding straight into it.
-[[nodiscard]] std::size_t encodedSize(const Message& m);
-[[nodiscard]] std::size_t encodedSize(const MessageRef& m);
-
-/// Serializes `m`'s payload (no outer frame) into caller-provided memory.
-/// Writes exactly encodedSize(m) bytes; the bytes are identical to
-/// encode(m). The shm send path uses this to encode directly into a
-/// reserved ring slot — zero intermediate buffers.
-void encodeToBuffer(const Message& m, char* dst);
-void encodeToBuffer(const MessageRef& m, char* dst);
 
 /// Materializes an owned Message from a send ref (legacy-transport
 /// interop; the zero-copy paths never call this).

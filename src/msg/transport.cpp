@@ -3,9 +3,6 @@
 #include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/log.hpp"
-#include "msg/handler_slot.hpp"
-#include "msg/shm_transport.hpp"
-#include "msg/uring.hpp"
 
 #include <fcntl.h>
 #include <poll.h>
@@ -20,6 +17,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -41,14 +40,100 @@ constexpr std::size_t kMaxOutboxBytes = 128u << 20;
 /// peer before the remainder is dropped and the socket shut down hard.
 constexpr auto kCloseGrace = std::chrono::seconds(5);
 
-// The handler-slot machinery (scratch buffers, HandlerSlot,
-// installAndReplay, deliverAsView) lives in msg/handler_slot.hpp so the
-// shm transport shares it; local aliases keep the call sites unchanged.
-using detail::acquireScratch;
-using detail::deliverAsView;
-using detail::HandlerSlot;
-using detail::installAndReplay;
-using detail::releaseScratch;
+// ------------------------------------------------------- handler slots
+
+/// Per-thread stack of scratch WireBuffers for view deliveries that start
+/// from an owned Message (in-proc sends, backlog replay, legacy-handler
+/// adaptation). A STACK, not a single buffer: a handler that replies
+/// inline over another in-proc transport nests a second delivery while
+/// the outer view still references the outer scratch buffer.
+std::vector<WireBuffer>& scratchStack() {
+  thread_local std::vector<WireBuffer> stack;
+  return stack;
+}
+
+WireBuffer acquireScratch() {
+  auto& stack = scratchStack();
+  if (stack.empty()) return WireBuffer();
+  WireBuffer b = std::move(stack.back());
+  stack.pop_back();
+  return b;
+}
+
+void releaseScratch(WireBuffer&& b) {
+  auto& stack = scratchStack();
+  if (stack.size() >= 8) return;
+  b.shrink(64 * 1024);
+  stack.push_back(std::move(b));
+}
+
+/// Encodes `m` (Message or MessageRef) into a scratch buffer and hands
+/// the parsed view to `handler` — the adapter between owned messages and
+/// the zero-copy receive contract.
+template <typename M>
+void deliverAsView(const Transport::ViewHandler& handler, const M& m) {
+  WireBuffer scratch = acquireScratch();
+  encodeInto(m, scratch);
+  auto view = MessageView::parse(scratch.payload());
+  SIMFS_CHECK(view.isOk());  // our own encoder output always parses
+  handler(*view);
+  releaseScratch(std::move(scratch));
+}
+
+/// The receive-side handler state of both transports: at most one of the
+/// two handler kinds installed (latest wins), plus the pre-handler
+/// backlog. Handlers live behind shared_ptr so delivery copies a pointer
+/// under the lock instead of a std::function (whose captures would
+/// otherwise reallocate on every message).
+struct HandlerSlot {
+  std::shared_ptr<Transport::Handler> onMessage;
+  std::shared_ptr<Transport::ViewHandler> onView;
+  bool draining = false;  ///< a setHandler replay is in flight
+  std::vector<Message> backlog;
+
+  [[nodiscard]] bool any() const noexcept {
+    return onMessage != nullptr || onView != nullptr;
+  }
+};
+
+/// setHandler/setViewHandler body of both transports: installs the
+/// handler (exactly one of `h`/`vh`) and replays the backlog in order on
+/// the calling thread. `draining` makes concurrent sends append behind the
+/// replay instead of overtaking.
+void installAndReplay(std::mutex& mutex, HandlerSlot& slot,
+                      Transport::Handler h, Transport::ViewHandler vh) {
+  std::unique_lock lock(mutex);
+  if (h) {
+    slot.onMessage = std::make_shared<Transport::Handler>(std::move(h));
+    slot.onView.reset();
+  } else if (vh) {
+    slot.onView = std::make_shared<Transport::ViewHandler>(std::move(vh));
+    slot.onMessage.reset();
+  } else {
+    slot.onMessage.reset();
+    slot.onView.reset();
+    return;
+  }
+  if (slot.backlog.empty()) return;
+  slot.draining = true;
+  while (!slot.backlog.empty()) {
+    std::vector<Message> batch(std::make_move_iterator(slot.backlog.begin()),
+                               std::make_move_iterator(slot.backlog.end()));
+    slot.backlog.clear();
+    const auto msgHandler = slot.onMessage;
+    const auto viewHandler = slot.onView;
+    lock.unlock();
+    for (auto& m : batch) {
+      if (viewHandler) {
+        deliverAsView(*viewHandler, m);
+      } else {
+        (*msgHandler)(std::move(m));
+      }
+    }
+    lock.lock();
+  }
+  slot.draining = false;
+}
 
 // ------------------------------------------------------------------- InProc
 
@@ -219,13 +304,6 @@ struct Conn {
   std::string readBuf;
   bool wantWrite = false;          ///< EPOLLOUT currently in the interest set
   bool registered = false;
-  // uring backend only: tokens of the in-flight multishot recv / writev
-  // SQEs (0 = none) and the stable iovec array the pending writev points
-  // at. The kernel reads uringIov and the inflight buffers until the
-  // write CQE lands, so teardown must never recycle them early.
-  std::uint64_t uringRecvToken = 0;
-  std::uint64_t uringWriteToken = 0;
-  std::vector<iovec> uringIov;
   /// Deadline for draining a close()d connection's tail (zero = unset).
   std::chrono::steady_clock::time_point closeDeadline{};
   /// Frames delivered so far, counted only under fault injection for the
@@ -234,23 +312,6 @@ struct Conn {
   // --- any thread -----------------------------------------------------------
   std::atomic<bool> open{true};
 };
-
-#if SIMFS_HAS_URING
-/// Per-loop io_uring state (uring backend only). The pin maps hold a
-/// shared_ptr to the connection of every in-flight SQE so a Conn (and the
-/// buffers the kernel still references) cannot be destroyed before its
-/// CQEs — including -ECANCELED ones — have drained.
-struct UringState {
-  uring::Queue q;
-  std::uint64_t nextId = 1;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> recvOps;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Conn>> writeOps;
-  /// Multishot recvs that terminated this drain pass; re-armed only AFTER
-  /// the pass so recycled provided buffers are visible to the kernel
-  /// (re-arming inside the drain can spin on -ENOBUFS).
-  std::vector<std::shared_ptr<Conn>> rearm;
-};
-#endif
 
 /// Epoll reactor: one (or SIMFS_REACTOR_THREADS) event-loop thread(s) own
 /// every socket endpoint of the process. Inbound frames are decoded IN
@@ -261,30 +322,9 @@ struct UringState {
 /// thread, driven by a command queue + eventfd wakeup. Commands are plain
 /// structs (kind + connection), not std::functions, so posting one never
 /// allocates.
-///
-/// Backend selection: SIMFS_REACTOR_BACKEND=uring swaps the per-loop
-/// event engine for io_uring (multishot recv over a provided-buffer ring,
-/// batched writev submission) behind the exact same Transport / view-
-/// handler surface. Anything but a working uring falls back to epoll with
-/// a logged notice — never an error.
 class Reactor {
  public:
   explicit Reactor(std::size_t nLoops) {
-    bool wantUring = false;
-    if (const auto v = env::get("SIMFS_REACTOR_BACKEND")) {
-      if (*v == "uring") {
-        if (uring::supported()) {
-          wantUring = true;
-        } else {
-          SIMFS_LOG_WARN("msg",
-                         "reactor: SIMFS_REACTOR_BACKEND=uring but io_uring "
-                         "is unavailable here; falling back to epoll");
-        }
-      } else if (!v->empty() && *v != "epoll") {
-        SIMFS_LOG_WARN("msg", "reactor: unknown backend '%s', using epoll",
-                       v->c_str());
-      }
-    }
     loops_.reserve(nLoops);
     for (std::size_t i = 0; i < nLoops; ++i) {
       auto loop = std::make_unique<Loop>();
@@ -296,24 +336,8 @@ class Reactor {
       ev.data.fd = loop->wakeFd;
       SIMFS_CHECK(::epoll_ctl(loop->epollFd, EPOLL_CTL_ADD, loop->wakeFd,
                               &ev) == 0);
-#if SIMFS_HAS_URING
-      if (wantUring) {
-        auto st = std::make_unique<UringState>();
-        if (st->q.init(256) && st->q.setupBufRing(0, 32, 64 * 1024)) {
-          loop->uring = std::move(st);
-        } else {
-          SIMFS_LOG_WARN("msg",
-                         "reactor: io_uring init failed, epoll fallback");
-          wantUring = false;
-        }
-      }
-#endif
       loops_.push_back(std::move(loop));
     }
-    (void)wantUring;
-#if SIMFS_HAS_URING
-    if (!loops_.empty() && loops_.front()->uring) backend_ = "uring";
-#endif
     for (auto& loop : loops_) {
       loop->thread = std::thread([this, raw = loop.get()] { run(*raw); });
     }
@@ -386,11 +410,6 @@ class Reactor {
     post({Cmd::Kind::kDisconnect, conn});
   }
 
-  /// Name of the event engine actually running ("epoll" or "uring").
-  [[nodiscard]] std::string_view backendName() const noexcept {
-    return backend_;
-  }
-
   /// Deregisters `conn` and blocks until no loop thread can touch it
   /// again (drop-safe handshake for ~ReactorTransport).
   void remove(const std::shared_ptr<Conn>& conn) {
@@ -440,9 +459,6 @@ class Reactor {
     /// Closed connections still draining their tail (grace-bounded).
     std::unordered_set<std::shared_ptr<Conn>> closingConns;
     std::atomic<bool> stop{false};
-#if SIMFS_HAS_URING
-    std::unique_ptr<UringState> uring;  ///< set when this loop runs io_uring
-#endif
   };
 
   void post(Cmd cmd) {
@@ -467,15 +483,7 @@ class Reactor {
         doRegister(loop, cmd.conn);
         return;
       case Cmd::Kind::kFlush:
-        if (cmd.conn->registered) {
-#if SIMFS_HAS_URING
-          if (loop.uring) {
-            uringFlush(loop, cmd.conn);
-            return;
-          }
-#endif
-          flushWrites(loop, cmd.conn);
-        }
+        if (cmd.conn->registered) flushWrites(loop, cmd.conn);
         return;
       case Cmd::Kind::kDisconnect:
         if (cmd.conn->registered) disconnect(loop, cmd.conn);
@@ -487,14 +495,6 @@ class Reactor {
   }
 
   void doRegister(Loop& loop, const std::shared_ptr<Conn>& conn) {
-#if SIMFS_HAS_URING
-    if (loop.uring) {
-      loop.conns.emplace(conn->fd, conn);
-      conn->registered = true;
-      armRecv(loop, conn);
-      return;
-    }
-#endif
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = conn->fd;
@@ -525,12 +525,6 @@ class Reactor {
 
   void run(Loop& loop) {
     loop.threadId = std::this_thread::get_id();
-#if SIMFS_HAS_URING
-    if (loop.uring) {
-      runUring(loop);
-      return;
-    }
-#endif
     std::vector<epoll_event> events(64);
     std::vector<Cmd> cmds;
     for (;;) {
@@ -604,9 +598,7 @@ class Reactor {
   /// Decodes every complete frame in `bytes` and delivers each IN PLACE
   /// (the views reference `bytes` and die with the handler call). Returns
   /// the consumed prefix length; sets `dead` on an oversized/undecodable
-  /// frame or a fault-injected close. Shared by both backends — epoll
-  /// scans the connection's accumulation buffer, uring scans the kernel-
-  /// provided buffer directly.
+  /// frame or a fault-injected close.
   static std::size_t scanFrames(const std::shared_ptr<Conn>& conn,
                                 std::string_view bytes, bool& dead) {
     std::size_t head = 0;
@@ -670,308 +662,6 @@ class Reactor {
     }
     if (dead) disconnect(loop, conn);
   }
-
-#if SIMFS_HAS_URING
-  // ---------------------------------------------------- io_uring backend
-  //
-  // Same state machine as the epoll engine — the Conn fields, command
-  // queue, close grace and backpressure rules are identical — with the
-  // readiness loop replaced by completions: one multishot recv per
-  // connection feeding off a shared provided-buffer ring, one writev SQE
-  // per connection at a time, and a multishot poll on the eventfd for
-  // cross-thread wakeups. user_data tokens carry the op kind in the low
-  // two bits (0=wake, 1=recv, 2=write, 3=cancel).
-
-  static constexpr std::uint64_t kTokWake = 0;
-
-  static std::uint64_t makeToken(UringState& st, unsigned op) {
-    return (st.nextId++ << 2) | op;
-  }
-
-  /// SQE acquisition with one flush-and-retry when the SQ is full.
-  static io_uring_sqe* getSqe(UringState& st) {
-    io_uring_sqe* sqe = st.q.getSqe();
-    if (sqe == nullptr) {
-      st.q.submit();
-      sqe = st.q.getSqe();
-    }
-    return sqe;
-  }
-
-  void armWakePoll(Loop& loop) {
-    io_uring_sqe* sqe = getSqe(*loop.uring);
-    SIMFS_CHECK(sqe != nullptr);  // 256-deep SQ; wake poll is re-armed rarely
-    sqe->opcode = IORING_OP_POLL_ADD;
-    sqe->fd = loop.wakeFd;
-    sqe->poll32_events = POLLIN;
-    sqe->len = IORING_POLL_ADD_MULTI;
-    sqe->user_data = kTokWake;
-  }
-
-  /// Arms (or re-arms) the connection's multishot recv.
-  void armRecv(Loop& loop, const std::shared_ptr<Conn>& conn) {
-    if (!conn->registered || conn->uringRecvToken != 0) return;
-    UringState& st = *loop.uring;
-    io_uring_sqe* sqe = getSqe(st);
-    if (sqe == nullptr) {
-      disconnect(loop, conn);
-      return;
-    }
-    const std::uint64_t tok = makeToken(st, 1);
-    sqe->opcode = IORING_OP_RECV;
-    sqe->fd = conn->fd;
-    sqe->ioprio = IORING_RECV_MULTISHOT;
-    sqe->flags = IOSQE_BUFFER_SELECT;
-    sqe->buf_group = 0;
-    sqe->user_data = tok;
-    conn->uringRecvToken = tok;
-    st.recvOps.emplace(tok, conn);
-  }
-
-  /// Aborts the connection's in-flight SQEs by token. Closing the fd
-  /// alone does NOT cancel them — submission took a file reference — so
-  /// teardown must cancel explicitly or a multishot recv could outlive
-  /// the transport.
-  void uringCancelOps(Loop& loop, Conn& conn) {
-    UringState& st = *loop.uring;
-    for (const std::uint64_t tok : {conn.uringRecvToken, conn.uringWriteToken}) {
-      if (tok == 0) continue;
-      io_uring_sqe* sqe = getSqe(st);
-      if (sqe == nullptr) continue;  // ring teardown will reap it instead
-      sqe->opcode = IORING_OP_ASYNC_CANCEL;
-      sqe->fd = -1;
-      sqe->addr = tok;  // cancel by user_data
-      sqe->user_data = makeToken(st, 3);
-    }
-  }
-
-  /// The uring flush: steals the outbox exactly like flushWrites, then
-  /// submits ONE writev SQE covering the head of the in-flight batch.
-  /// Continuation happens in handleWriteCqe — at most one write SQE per
-  /// connection is ever outstanding, so the iovec array and buffers stay
-  /// stable for the kernel.
-  void uringFlush(Loop& loop, const std::shared_ptr<Conn>& conn) {
-    if (!conn->registered || conn->uringWriteToken != 0) return;
-    if (conn->inflightPos == conn->inflight.size()) {
-      recycleInflight(*conn);
-      std::lock_guard lock(conn->mutex);
-      conn->inflight.swap(conn->outbox);
-    }
-    if (conn->inflightPos == conn->inflight.size()) {
-      finishWritePass(loop, conn, 0);  // nothing queued; handles shutdown
-      return;
-    }
-    constexpr std::size_t kMaxIov = 64;
-    conn->uringIov.clear();
-    std::size_t skip = conn->inflightHead;
-    for (std::size_t i = conn->inflightPos;
-         i < conn->inflight.size() && conn->uringIov.size() < kMaxIov; ++i) {
-      iovec io{};
-      io.iov_base = const_cast<char*>(conn->inflight[i].data() + skip);
-      io.iov_len = conn->inflight[i].size() - skip;
-      skip = 0;
-      conn->uringIov.push_back(io);
-    }
-    UringState& st = *loop.uring;
-    io_uring_sqe* sqe = getSqe(st);
-    if (sqe == nullptr) {
-      disconnect(loop, conn);
-      return;
-    }
-    const std::uint64_t tok = makeToken(st, 2);
-    sqe->opcode = IORING_OP_WRITEV;
-    sqe->fd = conn->fd;
-    sqe->addr = reinterpret_cast<std::uint64_t>(conn->uringIov.data());
-    sqe->len = static_cast<std::uint32_t>(conn->uringIov.size());
-    sqe->user_data = tok;
-    conn->uringWriteToken = tok;
-    st.writeOps.emplace(tok, conn);
-  }
-
-  /// Shared epilogue of a write pass (uring backend): mirrors the tail of
-  /// flushWrites — outBytes accounting, deferred shutdown of a closing
-  /// connection, grace tracking, and chaining the next writev.
-  void finishWritePass(Loop& loop, const std::shared_ptr<Conn>& conn,
-                       std::size_t poppedBytes) {
-    const bool inflightDrained = conn->inflightPos == conn->inflight.size();
-    bool doShutdown = false;
-    bool moreWork = false;
-    bool trackClosing = false;
-    {
-      std::lock_guard lock(conn->mutex);
-      conn->outBytes -= std::min(conn->outBytes, poppedBytes);
-      if (inflightDrained && conn->outbox.empty()) {
-        conn->writeArmed = false;
-        if (conn->closing && !conn->shutdownSent) {
-          conn->shutdownSent = true;
-          doShutdown = true;
-        }
-      } else {
-        moreWork = true;
-        if (conn->closing && !conn->shutdownSent) trackClosing = true;
-      }
-    }
-    if (trackClosing) {
-      if (conn->closeDeadline == std::chrono::steady_clock::time_point{}) {
-        conn->closeDeadline = std::chrono::steady_clock::now() + kCloseGrace;
-      }
-      loop.closingConns.insert(conn);
-    }
-    conn->removedCv.notify_all();
-    if (doShutdown) {
-      loop.closingConns.erase(conn);
-      ::shutdown(conn->fd, SHUT_RDWR);
-    } else if (moreWork && conn->registered) {
-      uringFlush(loop, conn);
-    }
-  }
-
-  void handleRecvCqe(Loop& loop, const io_uring_cqe& cqe) {
-    UringState& st = *loop.uring;
-    const auto it = st.recvOps.find(cqe.user_data);
-    if (it == st.recvOps.end()) {
-      // Stale completion after teardown: just return its buffer.
-      if ((cqe.flags & IORING_CQE_F_BUFFER) != 0) {
-        st.q.recycleBuf(
-            static_cast<std::uint16_t>(cqe.flags >> IORING_CQE_BUFFER_SHIFT));
-      }
-      return;
-    }
-    const std::shared_ptr<Conn> conn = it->second;
-    if ((cqe.flags & IORING_CQE_F_MORE) == 0) {
-      st.recvOps.erase(it);
-      conn->uringRecvToken = 0;
-    }
-    if (cqe.res < 0) {
-      if (cqe.res == -ENOBUFS) {
-        // Provided-buffer pool momentarily empty; buffers recycle during
-        // this drain pass, so re-arm after it completes.
-        st.rearm.push_back(conn);
-        return;
-      }
-      if (cqe.res == -ECANCELED) return;  // teardown already ran
-      if (conn->registered) disconnect(loop, conn);
-      return;
-    }
-    if (cqe.res == 0) {  // EOF
-      if (conn->registered) disconnect(loop, conn);
-      return;
-    }
-    SIMFS_CHECK((cqe.flags & IORING_CQE_F_BUFFER) != 0);
-    const auto bid =
-        static_cast<std::uint16_t>(cqe.flags >> IORING_CQE_BUFFER_SHIFT);
-    const char* data = st.q.bufData(bid);
-    const auto n = static_cast<std::size_t>(cqe.res);
-    bool dead = false;
-    if (conn->registered) {
-      if (conn->readBuf.empty()) {
-        // Fast path: decode frames in place over the kernel-provided
-        // buffer; only an incomplete tail is copied out.
-        const std::size_t used = scanFrames(conn, {data, n}, dead);
-        if (used < n && !dead) conn->readBuf.append(data + used, n - used);
-      } else {
-        conn->readBuf.append(data, n);
-        const std::size_t used = scanFrames(conn, conn->readBuf, dead);
-        if (used > 0) conn->readBuf.erase(0, used);
-      }
-    }
-    st.q.recycleBuf(bid);
-    if (dead) {
-      disconnect(loop, conn);
-      return;
-    }
-    if ((cqe.flags & IORING_CQE_F_MORE) == 0 && conn->registered) {
-      st.rearm.push_back(conn);
-    }
-  }
-
-  void handleWriteCqe(Loop& loop, const io_uring_cqe& cqe) {
-    UringState& st = *loop.uring;
-    const auto it = st.writeOps.find(cqe.user_data);
-    if (it == st.writeOps.end()) return;
-    const std::shared_ptr<Conn> conn = it->second;
-    st.writeOps.erase(it);
-    conn->uringWriteToken = 0;
-    if (cqe.res == -ECANCELED) return;
-    if (cqe.res < 0) {
-      if (cqe.res == -EAGAIN || cqe.res == -EINTR) {
-        if (conn->registered) uringFlush(loop, conn);
-        return;
-      }
-      if (conn->registered) disconnect(loop, conn);
-      return;
-    }
-    // Advance the in-flight cursors past the written bytes (short writes
-    // resume from the same iovec batch on the chained flush).
-    auto n = static_cast<std::size_t>(cqe.res);
-    std::size_t poppedBytes = 0;
-    while (n > 0) {
-      WireBuffer& front = conn->inflight[conn->inflightPos];
-      const std::size_t remain = front.size() - conn->inflightHead;
-      if (n >= remain) {
-        n -= remain;
-        poppedBytes += front.size();
-        ++conn->inflightPos;
-        conn->inflightHead = 0;
-      } else {
-        conn->inflightHead += n;
-        n = 0;
-      }
-    }
-    finishWritePass(loop, conn, poppedBytes);
-  }
-
-  void handleCqe(Loop& loop, const io_uring_cqe& cqe) {
-    if (cqe.user_data == kTokWake) {
-      std::uint64_t drained = 0;
-      (void)!::read(loop.wakeFd, &drained, sizeof(drained));
-      if ((cqe.flags & IORING_CQE_F_MORE) == 0) armWakePoll(loop);
-      return;
-    }
-    switch (cqe.user_data & 3) {
-      case 1:
-        handleRecvCqe(loop, cqe);
-        return;
-      case 2:
-        handleWriteCqe(loop, cqe);
-        return;
-      default:  // cancel completions carry no state
-        return;
-    }
-  }
-
-  void runUring(Loop& loop) {
-    UringState& st = *loop.uring;
-    armWakePoll(loop);
-    std::vector<Cmd> cmds;
-    for (;;) {
-      cmds.clear();
-      {
-        std::lock_guard lock(loop.cmdMutex);
-        cmds.swap(loop.commands);
-      }
-      for (auto& c : cmds) execute(loop, c);
-      if (loop.stop.load()) return;
-      const auto timeout = loop.closingConns.empty()
-                               ? std::chrono::nanoseconds(-1)
-                               : std::chrono::nanoseconds(
-                                     std::chrono::milliseconds(100));
-      const int r = st.q.submitAndWait(timeout);
-      if (r < 0 && r != -ETIME) {
-        SIMFS_LOG_ERROR("msg", "reactor: io_uring_enter failed: %s",
-                        std::strerror(-r));
-        return;
-      }
-      if (!loop.closingConns.empty()) sweepClosing(loop);
-      st.q.drainCqes(
-          [this, &loop](const io_uring_cqe& cqe) { handleCqe(loop, cqe); });
-      if (!st.rearm.empty()) {
-        for (auto& conn : st.rearm) armRecv(loop, conn);
-        st.rearm.clear();
-      }
-    }
-  }
-#endif  // SIMFS_HAS_URING
 
   /// Releases the consumed in-flight prefix back to the pool and resets
   /// the cursors. Loop thread only.
@@ -1115,7 +805,7 @@ class Reactor {
         }
       }
       if (expired) {
-        if (conn->uringWriteToken == 0) recycleInflight(*conn);
+        recycleInflight(*conn);
         conn->removedCv.notify_all();
         ::shutdown(conn->fd, SHUT_RDWR);
         it = loop.closingConns.erase(it);
@@ -1151,21 +841,12 @@ class Reactor {
       }
     }
     if (conn->registered) {
-#if SIMFS_HAS_URING
-      if (loop.uring) {
-        uringCancelOps(loop, *conn);
-      } else
-#endif
-      {
-        (void)::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
-      }
+      (void)::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
       loop.conns.erase(conn->fd);
       ::close(conn->fd);
       conn->registered = false;
     }
-    // A pending writev SQE means the kernel still reads the in-flight
-    // buffers; they are freed with the Conn once its CQE drains the pin.
-    if (conn->uringWriteToken == 0) recycleInflight(*conn);
+    recycleInflight(*conn);
     loop.closingConns.erase(conn);
     conn->removedCv.notify_all();
     if (onClose) onClose();
@@ -1175,19 +856,12 @@ class Reactor {
   /// no handler or close callback can run again.
   void deregister(Loop& loop, const std::shared_ptr<Conn>& conn) {
     if (conn->registered) {
-#if SIMFS_HAS_URING
-      if (loop.uring) {
-        uringCancelOps(loop, *conn);
-      } else
-#endif
-      {
-        (void)::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
-      }
+      (void)::epoll_ctl(loop.epollFd, EPOLL_CTL_DEL, conn->fd, nullptr);
       loop.conns.erase(conn->fd);
       ::close(conn->fd);
       conn->registered = false;
     }
-    if (conn->uringWriteToken == 0) recycleInflight(*conn);
+    recycleInflight(*conn);
     loop.closingConns.erase(conn);
     std::lock_guard lock(conn->mutex);
     conn->open.store(false);
@@ -1200,7 +874,6 @@ class Reactor {
 
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<std::size_t> nextLoop_{0};
-  std::string_view backend_ = "epoll";
 };
 
 class ReactorTransport final : public Transport {
@@ -1320,9 +993,7 @@ class ReactorTransport final : public Transport {
 
 }  // namespace
 
-std::string_view reactorBackendName() {
-  return Reactor::shared().backendName();
-}
+std::string_view reactorBackendName() { return "epoll"; }
 
 // The default adapts legacy-only transports (wrappers forwarding just
 // setHandler) to the view contract: each owned Message is re-encoded into
@@ -1416,10 +1087,7 @@ Result<std::unique_ptr<Transport>> unixSocketConnect(const std::string& path) {
     return errUnavailable("connect() failed for " + path);
   }
   auto& reactor = Reactor::shared();
-  // The shm negotiator is a pure passthrough until a kHello flows through
-  // it, so wrapping every dialer (sessions, tools, peer links) is safe —
-  // only hello-sending endpoints ever negotiate.
-  return wrapShmClient(
+  return std::unique_ptr<Transport>(
       std::make_unique<ReactorTransport>(reactor, reactor.adopt(fd)));
 }
 

@@ -86,9 +86,8 @@ class Transport {
   /// True until close() (or peer disconnect for sockets).
   [[nodiscard]] virtual bool isOpen() const = 0;
 
-  /// Which data plane this endpoint currently uses: "inproc", "socket" or
-  /// "shm". A negotiating wrapper's answer can change once — from
-  /// "socket" to "shm" — when the hello handshake settles.
+  /// Which data plane this endpoint uses: "inproc" or "socket". Virtual
+  /// so wrapper transports can report the plane they forward to.
   [[nodiscard]] virtual std::string_view kindName() const {
     return "unknown";
   }
@@ -125,18 +124,13 @@ class UnixSocketServer {
   std::string path_;
 };
 
-/// Connects to a UnixSocketServer. When shm negotiation is enabled
-/// (SIMFS_SHM unset or != 0) the returned transport is wrapped in the
-/// same-host shm negotiator: a kHello sent through it offers a shared-
-/// memory ring pair to the peer and the session upgrades transparently if
-/// the daemon accepts (see shm_transport.hpp). Endpoints that never send
-/// kHello (daemon peer links, raw tools) behave exactly as before.
+/// Connects to a UnixSocketServer; the endpoint joins the process-wide
+/// epoll reactor like an accepted one.
 [[nodiscard]] Result<std::unique_ptr<Transport>> unixSocketConnect(
     const std::string& path);
 
-/// The reactor backend driving this process's socket endpoints: "uring"
-/// when SIMFS_REACTOR_BACKEND=uring and the kernel supports io_uring,
-/// otherwise "epoll" (including the fallback case, which logs a notice).
+/// The reactor backend driving this process's socket endpoints: always
+/// "epoll". Reported in `simfsctl stats` and benchmark provenance.
 [[nodiscard]] std::string_view reactorBackendName();
 
 }  // namespace simfs::msg

@@ -1,25 +1,8 @@
 #include "msg/wire.hpp"
 
-#include "common/env.hpp"
-
 #include <algorithm>
 
 namespace simfs::msg {
-
-namespace {
-
-std::size_t envSize(const char* name, std::size_t fallback) {
-  if (const auto v = env::getInt(name); v && *v > 0) {
-    return static_cast<std::size_t>(*v);
-  }
-  return fallback;
-}
-
-}  // namespace
-
-BufferPool::BufferPool()
-    : BufferPool(envSize("SIMFS_WIRE_POOL_BUFS", 64),
-                 envSize("SIMFS_WIRE_BUF_RETAIN", 256 * 1024)) {}
 
 BufferPool::BufferPool(std::size_t maxBuffers, std::size_t maxRetainBytes)
     : maxBuffers_(std::max<std::size_t>(1, maxBuffers)),

@@ -14,12 +14,6 @@
 //     the transport's receive buffer (queued daemon requests, buffered
 //     replies). reset() recycles the blocks, so a drain-reset cycle is
 //     allocation-free once warm.
-//
-// Pool sizing knobs (read once per pool at construction):
-//   SIMFS_WIRE_POOL_BUFS    max buffers retained per pool     (default 64)
-//   SIMFS_WIRE_BUF_RETAIN   max capacity retained per buffer; buffers
-//                           grown past this are shrunk back to inline
-//                           storage on release (default 256 KiB)
 #pragma once
 
 #include <algorithm>
@@ -37,9 +31,8 @@
 namespace simfs::msg {
 
 /// THE frame-size constant: sized so every control message (acks, opens,
-/// small batches) fits without spilling. WireBuffer's inline storage and
-/// the shm ring slot size both derive from it — a static_assert in
-/// shm_ring.hpp ties them together, so the two paths cannot drift apart.
+/// small batches) fits without spilling. WireBuffer's inline storage
+/// derives from it.
 inline constexpr std::size_t kInlineFrameBytes = 256;
 
 /// One framed outbound message; see file comment.
@@ -148,8 +141,13 @@ class WireBuffer {
 /// Bounded, thread-safe free-list of WireBuffers; see file comment.
 class BufferPool {
  public:
-  /// Zero arguments = take the SIMFS_WIRE_* environment knobs.
-  BufferPool();
+  /// Defaults a transport connection uses: at most this many buffers are
+  /// retained, and a buffer grown past the byte bound is shrunk back to
+  /// inline storage on release.
+  static constexpr std::size_t kDefaultMaxBuffers = 64;
+  static constexpr std::size_t kDefaultMaxRetainBytes = 256 * 1024;
+
+  BufferPool() : BufferPool(kDefaultMaxBuffers, kDefaultMaxRetainBytes) {}
   BufferPool(std::size_t maxBuffers, std::size_t maxRetainBytes);
 
   /// Pops a cleared buffer off the free list (or makes a fresh one).

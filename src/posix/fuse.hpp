@@ -1,6 +1,6 @@
 // simfs_fuse core — a read-only FUSE server speaking the raw /dev/fuse
-// kernel protocol, no libfuse (the PR 7 no-liburing precedent: one less
-// dependency, full control of the wire).
+// kernel protocol, no libfuse (one less dependency, full control of the
+// wire).
 //
 // The kernel side of FUSE is a character device: mount(2) with
 // "fd=<devfd>" splices a mounted superblock to the fd, after which the

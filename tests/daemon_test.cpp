@@ -295,6 +295,40 @@ TEST_F(SocketDaemonTest, SimulatorAndAnalysisHellosNegotiateTheSameVersion) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(SocketDaemonTest, OldClientReservedCapOfferGetsThePreNegotiationAck) {
+  // A client built when kHelloCapShm offered a shared-memory data plane
+  // still sets that bit and names a segment key in text. The bit is
+  // reserved now: the daemon ignores it and answers over the socket with
+  // exactly the ack a pre-negotiation daemon sent (intArg2 == 0), which
+  // the old client's negotiator reads as "stay on the socket".
+  RawConn conn(path_);
+  msg::Message hello;
+  hello.type = msg::MsgType::kHello;
+  hello.requestId = 1;
+  hello.context = "sock";
+  hello.intArg = static_cast<std::int64_t>(msg::ClientRole::kAnalysis);
+  hello.intArg2 = msg::kHelloCapShm;
+  hello.text = "/simfs-segment-1234-1";
+  const auto ack = conn.call(hello);
+  ASSERT_EQ(ack.type, msg::MsgType::kHelloAck);
+  ASSERT_EQ(ack.code, 0) << ack.text;
+  EXPECT_EQ(ack.intArg2, 0);
+  msg::Message preNegotiation;
+  preNegotiation.type = msg::MsgType::kHelloAck;
+  preNegotiation.requestId = 1;
+  preNegotiation.intArg = ack.intArg;  // the assigned client id
+  EXPECT_EQ(msg::encode(ack), msg::encode(preNegotiation));
+
+  // The session is bound and served on the socket.
+  msg::Message open;
+  open.type = msg::MsgType::kOpenBatchReq;
+  open.requestId = 2;
+  open.files = {"out_0000000002.snc"};
+  const auto opened = conn.call(open);
+  EXPECT_EQ(opened.type, msg::MsgType::kOpenBatchAck);
+  EXPECT_EQ(opened.code, 0) << opened.text;
+}
+
 TEST_F(SocketDaemonTest, RetiredMessageTypeGetsErrorAndChangesNothing) {
   // Type 3 was the per-file open. A frame still carrying it must be
   // answered with kError and must neither register nor release anything.

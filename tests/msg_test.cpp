@@ -715,14 +715,11 @@ TEST_F(UnixSocketTest, ManyMessagesInOrder) {
 }
 
 TEST_F(UnixSocketTest, LegacyHelloDowngradeIsBytePinned) {
-  // Negotiation must be invisible to peers that predate it. With the shm
-  // offer suppressed, a client hello crosses the wire byte-identical to
-  // the pre-negotiation protocol, and the ack a daemon sends back to a
-  // hello that advertised nothing is byte-identical to the ack a
-  // pre-negotiation daemon would have built — intArg2 stays untouched, so
-  // old clients (which never read it) and new clients (which read
-  // kLegacy) both settle on the socket path.
-  ::setenv("SIMFS_SHM", "0", 1);
+  // Negotiation must be invisible to peers that predate it: a client
+  // hello crosses the wire byte-identical to the pre-negotiation protocol
+  // (the socket transport adds no capability bit and no key), and an ack
+  // built the way the daemon builds it is byte-identical to the ack a
+  // pre-negotiation daemon would have sent — intArg2 stays 0.
   UnixSocketServer server(path_);
   std::mutex mu;
   std::vector<std::unique_ptr<Transport>> serverConns;
@@ -735,15 +732,9 @@ TEST_F(UnixSocketTest, LegacyHelloDowngradeIsBytePinned) {
                         std::lock_guard lock(mu);
                         heard.push_back(m);
                       }
-                      // The daemon's negotiation branch: answer in
-                      // intArg2 only when the hello advertised caps.
                       Message ack;
                       ack.type = MsgType::kHelloAck;
                       ack.requestId = m.requestId;
-                      if ((m.intArg2 & kHelloCapShm) != 0) {
-                        ack.intArg2 =
-                            static_cast<std::int64_t>(TransportChoice::kShm);
-                      }
                       (void)raw->send(ack);
                     });
                     std::lock_guard lock(mu);
@@ -776,23 +767,21 @@ TEST_F(UnixSocketTest, LegacyHelloDowngradeIsBytePinned) {
     std::lock_guard lock(mu);
     ASSERT_EQ(heard.size(), 1u);
     // Client side of the pin: the hello the daemon heard encodes exactly
-    // as the one the caller handed to send() — no capability bit, no shm
-    // key smuggled in by the transport wrapper.
+    // as the one the caller handed to send() — no capability bit, no key
+    // smuggled in by the transport.
     EXPECT_EQ(encode(heard[0]), encode(hello));
     EXPECT_EQ(heard[0].intArg2 & kHelloCapShm, 0);
   }
-  // Daemon side of the pin: the ack matches a hand-built pre-negotiation
-  // ack byte for byte, and decodes to the kLegacy choice.
+  // Ack side of the pin: the ack matches a hand-built pre-negotiation ack
+  // byte for byte, intArg2 included.
   Message oldAck;
   oldAck.type = MsgType::kHelloAck;
   oldAck.requestId = 9;
   EXPECT_EQ(encode(replies[0]), encode(oldAck));
-  EXPECT_EQ(replies[0].intArg2,
-            static_cast<std::int64_t>(TransportChoice::kLegacy));
+  EXPECT_EQ(replies[0].intArg2, 0);
   EXPECT_EQ((*client)->kindName(), "socket");
   (*client)->close();
   server.stop();
-  ::unsetenv("SIMFS_SHM");
 }
 
 // --- context geometry (kGeometryReq / kGeometryAck) -------------------------
@@ -935,9 +924,11 @@ TEST(MessageCodecTest, ElasticMembershipTypesAppendAfterGeometryOps) {
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kRingCommitAck), 39);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kContextHandoff), 40);
   EXPECT_EQ(static_cast<std::uint16_t>(MsgType::kContextHandoffAck), 41);
-  // The capability bit and the advertised version range are wire
-  // contract too: a renumbered cap bit would collide with kHelloCapShm /
-  // kHelloCapReplica on old daemons.
+  // The capability bits and the advertised version range are wire
+  // contract too: a renumbered cap bit would collide with the reserved
+  // kHelloCapShm or with kHelloCapReplica on old daemons.
+  EXPECT_EQ(kHelloCapShm, 1);
+  EXPECT_EQ(kHelloCapReplica, 2);
   EXPECT_EQ(kHelloCapVersion, 4);
   EXPECT_EQ(kProtocolVersionMin, 1);
   EXPECT_EQ(kProtocolVersionMax, 2);
